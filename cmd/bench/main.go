@@ -9,9 +9,9 @@
 //
 // For the reference apache cells (conventional SC and Invisi_sc, the two
 // configurations the performance acceptance gates track) it additionally
-// re-runs the simulation under the serial event-horizon scheduler and the
-// naive lock-step loop, recording the serial-to-parallel trajectory per
-// cell: lock-step ns, serial ns, parallel ns, and the derived speedups.
+// re-runs the simulation on the default one-shard loop and lock-step,
+// recording the trajectory per cell: lock-step ns, one-shard ("serial") ns,
+// clustered ns, and the derived speedups.
 //
 // Besides the latency-only grid it measures two contention smoke cells —
 // apache under conventional SC and Invisi_sc with a finite link bandwidth
@@ -63,12 +63,12 @@ type benchRun struct {
 }
 
 // reference pins one cell's scheduler trajectory: the same simulation under
-// the naive lock-step loop, the serial event-horizon scheduler, and the
-// parallel runner, in this binary (isolating scheduler effects from
-// everything else) — and, when -prerefactor-ns supplies a measurement of
-// the seed core on the same host, against the pre-refactor implementation
-// as a whole. OptimizedNs is the best configured scheduler (the parallel
-// runner unless -clusters 0).
+// lock-step, the default one-shard loop, and -clusters clusters, in this
+// binary (isolating scheduler effects from everything else) — and, when
+// -prerefactor-ns supplies a measurement of the seed core on the same
+// host, against the pre-refactor implementation as a whole. OptimizedNs
+// is the configured cluster count's time (the one-shard loop with
+// -clusters 0).
 type reference struct {
 	Workload           string  `json:"workload"`
 	Variant            string  `json:"variant"`
@@ -169,7 +169,7 @@ func main() {
 	variants := flag.String("variants", "sc,invisi-sc", "comma-separated variant names")
 	noRef := flag.Bool("no-reference", false, "skip the apache scheduler-trajectory measurements")
 	preNs := flag.Int64("prerefactor-ns", 0, "measured ns/run of the pre-refactor (seed) core for apache/SC at the same scale on this host; recorded for the trajectory")
-	clusters := flag.Int("clusters", -1, "parallel-runner clusters for grid cells (-1 = derive from GOMAXPROCS, 0 = serial event-horizon scheduler)")
+	clusters := flag.Int("clusters", -1, "clusters for grid cells (-1 = derive from GOMAXPROCS, 0 = the default one-shard loop)")
 	linkbw := flag.Uint64("linkbw", 4, "link bandwidth in cycles/flit for the contention smoke cells (0 skips them; only run on the unfiltered reference grid)")
 	flag.Parse()
 
@@ -300,7 +300,7 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			serial := opt // -clusters 0: optimized IS the serial scheduler
+			serial := opt // -clusters 0: optimized IS the one-shard loop
 			if *clusters >= 2 {
 				cfg.Clusters = 0
 				serial, err = measure(cfg, *iters)

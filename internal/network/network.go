@@ -139,18 +139,21 @@ func (b *inbox) pop() (Message, bool) {
 
 // Network is the torus — or, in shard mode, one cluster's partition of it.
 //
-// A plain Network (New) owns every node and is not safe for concurrent use;
-// the serial simulator is single-threaded and deterministic.
+// A plain Network (New) owns every node, orders same-cycle deliveries by a
+// global send counter, and is not safe for concurrent use. The simulator
+// itself always builds shards; the plain network is the reference ordering
+// the shard tests compare against (TestShardOrderingMatchesSerial).
 //
-// A shard (NewShard) owns a subset of the nodes: it carries the in-flight
-// heap and inboxes for messages destined to its own nodes, and the per-pair
-// FIFO state for messages sent by its own nodes. Sends to foreign nodes are
-// timestamped locally (arrival cycle, FIFO bump, per-source sequence) and
-// parked in an outbox; the parallel scheduler moves them into the owning
-// shard with Inject at an epoch barrier, before any cycle at which they
-// could arrive (see internal/sim's parallel runner and DESIGN.md §7).
-// Distinct shards never share mutable state, so each may be driven by its
-// own goroutine between barriers.
+// A shard (NewShard) owns a subset of the nodes — by default in
+// internal/sim, all of them: it carries the in-flight heap and inboxes for
+// messages destined to its own nodes, and the per-pair FIFO state for
+// messages sent by its own nodes. Sends to foreign nodes are timestamped
+// locally (arrival cycle, FIFO bump, per-source sequence) and parked in an
+// outbox; the scheduler moves them into the owning shard with Inject at an
+// epoch barrier, before any cycle at which they could arrive (see
+// internal/sim's cluster loop and DESIGN.md §7). Distinct shards never
+// share mutable state, so each may be driven by its own goroutine between
+// barriers.
 type Network struct {
 	cfg     Config
 	now     uint64
@@ -228,16 +231,22 @@ func New(cfg Config) *Network {
 }
 
 // NewShard creates one cluster's partition of the torus: a Network that
-// simulates only the nodes with owned[id] == true. Jitter is rejected — its
-// RNG is consumed in global send order, which shards cannot reproduce; the
-// parallel scheduler falls back to the serial loop for jittered runs.
+// simulates only the nodes with owned[id] == true. Jitter is accepted only
+// when the shard owns every node: its RNG is consumed in send order, which
+// is the global (cycle, node) order exactly when one shard sees every send;
+// a strict subset of the nodes cannot reproduce it, so internal/sim runs
+// jittered systems on one shard.
 func NewShard(cfg Config, owned []bool) *Network {
-	if cfg.Jitter > 0 {
-		panic("network: shards do not support jitter (global RNG order)")
-	}
 	n := New(cfg)
 	if len(owned) != n.Nodes() {
 		panic(fmt.Sprintf("network: owned set covers %d of %d nodes", len(owned), n.Nodes()))
+	}
+	if cfg.Jitter > 0 {
+		for _, own := range owned {
+			if !own {
+				panic("network: a shard owning a strict subset of the nodes cannot use jitter (global RNG order)")
+			}
+		}
 	}
 	n.sharded = true
 	n.owned = append([]bool(nil), owned...)

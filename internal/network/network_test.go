@@ -289,8 +289,9 @@ func TestShardOrderingMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardRejectsJitter pins the fallback contract: shards cannot
-// reproduce the serial jitter RNG's global consumption order.
+// TestShardRejectsJitter pins the fallback contract: a shard owning a
+// strict subset of the nodes cannot reproduce the jitter RNG's global
+// consumption order.
 func TestShardRejectsJitter(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -298,6 +299,50 @@ func TestShardRejectsJitter(t *testing.T) {
 		}
 	}()
 	NewShard(Config{Width: 2, Height: 2, HopLatency: 5, Jitter: 2}, []bool{true, true, false, false})
+}
+
+// TestWholeShardJitterMatchesSerial pins the jitter contract of a shard
+// that owns every node: fed sends in global (cycle, node) order, it
+// consumes the jitter RNG exactly as the whole-torus network does, so
+// every delivery lands at the same cycle in the same order.
+func TestWholeShardJitterMatchesSerial(t *testing.T) {
+	cfg := Config{Width: 2, Height: 2, HopLatency: 5, LocalLatency: 1, Jitter: 7, Seed: 3}
+	drive := func(n *Network) []uint64 {
+		var got []uint64 // (cycle, tag) pairs, flattened
+		tag := 0
+		for now := uint64(1); now <= 60; now++ {
+			n.Tick(now)
+			for dst := NodeID(0); dst < 4; dst++ {
+				for {
+					m, ok := n.Recv(dst)
+					if !ok {
+						break
+					}
+					got = append(got, now, uint64(payloadTag(m)))
+				}
+			}
+			if now > 20 {
+				continue
+			}
+			for src := NodeID(0); src < 4; src++ {
+				for _, dst := range []NodeID{(src + 1) % 4, (src + 3) % 4, src} {
+					n.Send(src, dst, pl(tag))
+					tag++
+				}
+			}
+		}
+		return got
+	}
+	want := drive(New(cfg))
+	got := drive(NewShard(cfg, []bool{true, true, true, true}))
+	if len(want) != 2*20*4*3 {
+		t.Fatalf("serial delivered %d of %d messages", len(want)/2, 20*4*3)
+	}
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("whole-node shard diverged from the serial network at delivery %d", i/2)
+		}
+	}
 }
 
 // ------------------------------------------------------- link contention

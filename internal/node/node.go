@@ -296,9 +296,9 @@ func (n *Node) deliver() {
 // node's true next state change, but may be earlier (costing only a tick).
 //
 // The method is read-only with respect to simulated state, so the answer
-// never perturbs a run: a simulation executed with idle-skip is bit-exact
-// against the naive lock-step loop (enforced by TestGoldenResults and
-// TestIdleSkipBitExact).
+// never perturbs a run: a simulation on per-node event horizons is
+// bit-exact against lock-step (enforced by TestGoldenResults and
+// TestParallelBitExact).
 func (n *Node) NextEvent() uint64 {
 	// Unconsumed deliveries, parked probes/fills, and unsent miss requests
 	// are all retried next cycle.

@@ -8,16 +8,15 @@ import (
 	"invisifence/internal/isa"
 )
 
-// stepSystem hand-drives the serial lock-step cycle loop (network tick, then
-// every node in ascending ID order — exactly runSerial's order) so the test
-// can measure a bounded window of steady-state cycles in isolation.
+// stepSystem drives the system's own cycle loop for a bounded window: it
+// moves the MaxCycles truncation point forward by cycles and runs the loop
+// to it, without building a Result. The loop resumes where the previous
+// window stopped, so the test measures a window of steady-state cycles of
+// exactly the code Run executes.
 func stepSystem(s *System, cycles int) {
-	for i := 0; i < cycles; i++ {
-		s.now++
-		s.net.Tick(s.now)
-		for _, n := range s.nodes {
-			n.Tick(s.now)
-		}
+	s.cfg.MaxCycles = s.now + uint64(cycles)
+	if s.run() {
+		panic("stepSystem: the programs finished inside the window")
 	}
 }
 
@@ -39,27 +38,33 @@ func TestSteadyStateCycleAllocFree(t *testing.T) {
 		{"invisi-sc", consistency.SC, ifcore.DefaultSelective(consistency.SC)},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := testConfig(2, 2, c.model, c.eng)
-			cfg.DisableIdleSkip = true // lock-step: every cycle exercises the full path
-			nnodes := cfg.Net.Width * cfg.Net.Height
-			progs := make([]*isa.Program, nnodes)
-			for i := range progs {
-				// Iterations far beyond the measured window so the cores
-				// never halt inside it.
-				progs[i] = contendedLoopProgram(i, nnodes, 1_000_000)
+		for _, lockstep := range []bool{false, true} {
+			name := c.name
+			if lockstep {
+				name += "-lockstep" // every cycle exercises the full path
 			}
-			s := New(cfg, progs, nil)
-			// Warm-up: reach every structure's high-water mark (queue and
-			// pool capacities, map sizes, lazily materialized cache sets).
-			stepSystem(s, 30_000)
-			avg := testing.AllocsPerRun(20, func() {
-				stepSystem(s, 250)
+			t.Run(name, func(t *testing.T) {
+				cfg := testConfig(2, 2, c.model, c.eng)
+				cfg.DisableIdleSkip = lockstep
+				nnodes := cfg.Net.Width * cfg.Net.Height
+				progs := make([]*isa.Program, nnodes)
+				for i := range progs {
+					// Iterations far beyond the measured window so the cores
+					// never halt inside it.
+					progs[i] = contendedLoopProgram(i, nnodes, 1_000_000)
+				}
+				s := New(cfg, progs, nil)
+				// Warm-up: reach every structure's high-water mark (queue and
+				// pool capacities, map sizes, lazily materialized cache sets).
+				stepSystem(s, 30_000)
+				avg := testing.AllocsPerRun(20, func() {
+					stepSystem(s, 250)
+				})
+				if avg != 0 {
+					t.Fatalf("steady-state cycle stepping allocates: %.2f allocs per 250-cycle window", avg)
+				}
 			})
-			if avg != 0 {
-				t.Fatalf("steady-state cycle stepping allocates: %.2f allocs per 250-cycle window", avg)
-			}
-		})
+		}
 	}
 }
 

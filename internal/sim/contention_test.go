@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestParallelBitExactContention extends the three-runner bit-exactness
-// contract to the link-contention model (DESIGN.md §10): with a finite
-// LinkBandwidth, the lock-step loop, the serial event-horizon scheduler,
-// and the parallel runner must still produce deeply-equal Results —
-// including the new contention telemetry, which is simulated machine state.
+// TestParallelBitExactContention extends the bit-exactness contract to the
+// link-contention model (DESIGN.md §10): with a finite LinkBandwidth,
+// lock-step, the default one-shard loop, and two and three clusters must
+// still produce deeply-equal Results — including the contention telemetry,
+// which is simulated machine state.
 // Injection-link state is per source node, so the conservative lookahead
 // and the shard ordering rule are unaffected; this test is the executable
 // form of that argument.
@@ -22,18 +22,18 @@ func TestParallelBitExactContention(t *testing.T) {
 			lockstep := runWith(t, c.model, c.eng, func(cfg *Config) {
 				contended(cfg)
 				cfg.DisableIdleSkip = true
-			})
-			skipped := runWith(t, c.model, c.eng, contended)
+			}, nil)
+			skipped := runWith(t, c.model, c.eng, contended, nil)
 			par2 := runWith(t, c.model, c.eng, func(cfg *Config) {
 				contended(cfg)
 				cfg.Clusters = 2
-			})
+			}, nil)
 			par3 := runWith(t, c.model, c.eng, func(cfg *Config) {
 				contended(cfg)
 				cfg.Clusters = 3
-			})
+			}, nil)
 			if !reflect.DeepEqual(lockstep, skipped) {
-				t.Errorf("idle-skip diverged from lock-step under contention:\nlock-step: %+v\nidle-skip: %+v", lockstep, skipped)
+				t.Errorf("default loop diverged from lock-step under contention:\nlock-step: %+v\ndefault:   %+v", lockstep, skipped)
 			}
 			if !reflect.DeepEqual(lockstep, par2) {
 				t.Errorf("parallel(2) diverged from lock-step under contention:\nlock-step: %+v\nparallel:  %+v", lockstep, par2)
@@ -49,7 +49,7 @@ func TestParallelBitExactContention(t *testing.T) {
 
 			// Bandwidth 0 is the latency-only torus: telemetry-free, and
 			// bit-exact with a config that never mentions the knob.
-			base := runWith(t, c.model, c.eng, func(cfg *Config) {})
+			base := runWith(t, c.model, c.eng, func(cfg *Config) {}, nil)
 			if base.Net.Messages != 0 {
 				t.Errorf("latency-only run accumulated contention telemetry: %+v", base.Net)
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"invisifence/internal/consistency"
-	ifcore "invisifence/internal/core"
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
 )
@@ -136,65 +135,39 @@ func programFor(model consistency.Model, tid, threads int) *isa.Program {
 	return contendedProgram(tid, threads)
 }
 
-// runBoth runs the same system twice — lock-step and idle-skip — and
-// returns both results.
-func runBoth(t *testing.T, model consistency.Model, eng ifcore.Config) (lockstep, skipped Result) {
-	t.Helper()
-	run := func(disable bool) Result {
-		cfg := testConfig(2, 2, model, eng)
-		cfg.DisableIdleSkip = disable
-		nnodes := cfg.Net.Width * cfg.Net.Height
-		progs := make([]*isa.Program, nnodes)
-		for i := range progs {
-			progs[i] = programFor(model, i, nnodes)
-		}
-		s := New(cfg, progs, nil)
-		res := s.Run()
-		if !res.Finished {
-			t.Fatalf("run (disableIdleSkip=%v) did not finish", disable)
-		}
-		return res
-	}
-	return run(true), run(false)
-}
-
-// TestIdleSkipBitExact proves the event-horizon scheduler is invisible: for
-// every consistency implementation, the full Result — cycles, retirement
-// counts, the per-class cycle breakdown, per-node stats, and every event
-// counter — is identical whether the simulator ticks every cycle or jumps
-// the clock between events.
+// TestIdleSkipBitExact pins idle skipping under an observer: with a
+// DebugHook set, the default loop advances in one-cycle epochs on the
+// caller's goroutine and calls the hook after every simulated cycle. For
+// every consistency implementation the hook must see strictly increasing
+// cycles, must not see every cycle (the per-node clocks still skip cycles
+// at which nothing is due), and the Result must equal the unobserved run's.
+// The lock-step comparison of the same grid lives in TestParallelBitExact.
 func TestIdleSkipBitExact(t *testing.T) {
-	cases := []struct {
-		name  string
-		model consistency.Model
-		eng   ifcore.Config
-	}{
-		{"conventional-sc", consistency.SC, offEngine(consistency.SC)},
-		{"conventional-tso", consistency.TSO, offEngine(consistency.TSO)},
-		{"conventional-rmo", consistency.RMO, offEngine(consistency.RMO)},
-		{"conventional-rc", consistency.RC, offEngine(consistency.RC)},
-		{"selective-sc", consistency.SC, ifcore.DefaultSelective(consistency.SC)},
-		{"selective-rmo", consistency.RMO, ifcore.DefaultSelective(consistency.RMO)},
-		{"selective-rc", consistency.RC, ifcore.DefaultSelective(consistency.RC)},
-		{"louvre-rc", consistency.RC, ifcore.DefaultLouvre()},
-		{"continuous", consistency.SC, ifcore.DefaultContinuous(false)},
-		{"continuous-cov", consistency.SC, ifcore.DefaultContinuous(true)},
-		{"aso", consistency.SC, ifcore.DefaultASO()},
-	}
-	for _, c := range cases {
+	for _, c := range runnerCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			lockstep, skipped := runBoth(t, c.model, c.eng)
-			if !reflect.DeepEqual(lockstep, skipped) {
-				t.Errorf("idle-skip diverged from lock-step:\nlock-step: %+v\nidle-skip: %+v", lockstep, skipped)
+			var hooks, last uint64
+			hooked := runWith(t, c.model, c.eng, func(*Config) {}, func(now uint64) {
+				if now <= last {
+					t.Fatalf("DebugHook went from cycle %d to %d", last, now)
+				}
+				last = now
+				hooks++
+			})
+			plain := runWith(t, c.model, c.eng, func(*Config) {}, nil)
+			if !reflect.DeepEqual(plain, hooked) {
+				t.Errorf("hooked run diverged:\nplain:  %+v\nhooked: %+v", plain, hooked)
+			}
+			if last != hooked.Cycles || hooks == 0 || hooks >= hooked.Cycles {
+				t.Errorf("DebugHook ran %d times, last at %d, for %d cycles", hooks, last, hooked.Cycles)
 			}
 		})
 	}
 }
 
 // TestIdleSkipNextEventSanity checks the horizon hints on a quiesced
-// system: the network must report no in-flight events, and every node must
+// system: the network shard must report no in-flight events, and every node must
 // report either no event or the conservative now+1 guard that follows a
 // retiring cycle (the final Halt retired on the last ticked cycle).
 func TestIdleSkipNextEventSanity(t *testing.T) {
@@ -216,7 +189,7 @@ func TestIdleSkipNextEventSanity(t *testing.T) {
 			t.Errorf("quiesced node %d reports unexpected event at %d (cycles=%d)", i, e, res.Cycles)
 		}
 	}
-	if e := s.net.NextEvent(); e != memtypes.NoEvent {
+	if e := s.clusters[0].shard.NextEvent(); e != memtypes.NoEvent {
 		t.Errorf("quiesced network still reports event at %d", e)
 	}
 }

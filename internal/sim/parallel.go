@@ -1,5 +1,6 @@
-// Conservative parallel in-run simulation: per-node local clocks, one
-// goroutine per node cluster, epoch barriers at the torus lookahead.
+// The cluster event loop: per-node local clocks over network shards, epoch
+// barriers at the torus lookahead. It is the only code that advances the
+// clock.
 //
 // The contract (DESIGN.md §7, condensed):
 //
@@ -14,17 +15,20 @@
 //   - Therefore, once every cluster has simulated through cycle E and
 //     exchanged cross-cluster messages, each cluster can simulate
 //     (E, E+L] independently: every message that can arrive in that window
-//     is already in its shard's in-flight heap.
+//     is already in its shard's in-flight heap. With one cluster there is
+//     no cross-cluster traffic, so L is unbounded and an epoch ends only at
+//     MaxCycles or the watchdog deadline.
 //   - Within its epoch a cluster runs an event loop with per-node local
 //     clocks: a node ticks only at cycles where its cached NextEvent
 //     horizon or an arriving message says it could change state; the
 //     skipped node-cycles are replayed in bulk with SkipCycles before its
-//     next tick, exactly as the serial idle-skip loop does system-wide.
-//   - Termination must match the serial loops bit-exactly: the run ends at
-//     the first cycle F at which every node reports Finished. A cluster
-//     whose nodes are all finished pauses rather than simulating ahead
-//     (cycles past F must never be simulated), and the coordinator resolves
-//     the exact F with an iterative barrier protocol (see resolve).
+//     next tick. Lock-step (Config.DisableIdleSkip) is the same loop with
+//     every horizon forced to the next cycle.
+//   - Termination must match lock-step bit-exactly: the run ends at the
+//     first cycle F at which every node reports Finished. A cluster whose
+//     nodes are all finished pauses rather than simulating ahead (cycles
+//     past F must never be simulated), and the coordinator resolves the
+//     exact F with an iterative barrier protocol (see resolve).
 //
 // Determinism: between barriers, each cluster touches only its own nodes
 // and shard; the coordinator touches shared state only while every worker
@@ -36,19 +40,21 @@ package sim
 import (
 	"fmt"
 
+	"invisifence/internal/coherence"
 	"invisifence/internal/memtypes"
 	"invisifence/internal/network"
 	"invisifence/internal/node"
 	"invisifence/internal/stats"
 )
 
-// cluster is one worker's slice of the machine: a contiguous run of nodes
-// plus their network shard.
+// cluster is one slice of the machine: a contiguous run of nodes plus their
+// network shard.
 type cluster struct {
-	idx   int
-	shard *network.Network
-	nodes []*node.Node
-	ids   []network.NodeID
+	idx      int
+	shard    *network.Network
+	nodes    []*node.Node
+	ids      []network.NodeID
+	lockstep bool // force every horizon to the next cycle
 
 	// clock is the cluster's local clock: every owned node's state reflects
 	// all cycles <= clock (ticked or provably idle). lastTick and horizon
@@ -61,6 +67,12 @@ type cluster struct {
 	lastTick []uint64
 	horizon  []uint64
 
+	// lastCycle is the last cycle the cluster simulated (runCycle), and
+	// lastRetire the last cycle at which one of its nodes retired an
+	// instruction (the watchdog's progress mark).
+	lastCycle  uint64
+	lastRetire uint64
+
 	// paused marks that the cluster stopped at pauseCycle because all its
 	// nodes were Finished there and the coordinator had not yet proven the
 	// run extends further (the endgame protocol).
@@ -69,29 +81,32 @@ type cluster struct {
 
 	st stats.RunnerStats
 
+	// cmds and done connect a worker goroutine while a multi-cluster run
+	// is in flight; nil when the cluster advances on the caller's
+	// goroutine.
 	cmds chan clusterCmd
 	done chan struct{}
 }
 
 // clusterCmd asks a worker to advance its cluster: simulate up to limit,
 // pausing at the first cycle >= safe at which all its nodes are Finished.
-// safe is the coordinator's guarantee that the serial loop would reach
-// cycle safe (F >= safe), so pausing earlier is never necessary.
+// safe is the coordinator's guarantee that the run reaches cycle safe
+// (F >= safe), so pausing earlier is never necessary.
 type clusterCmd struct{ safe, limit uint64 }
 
-func newCluster(idx int, shard *network.Network, all []*node.Node, ids []int) *cluster {
+func newCluster(idx int, shard *network.Network, all []*node.Node, ids []int, lockstep bool) *cluster {
 	c := &cluster{
-		idx:   idx,
-		shard: shard,
-		cmds:  make(chan clusterCmd),
-		done:  make(chan struct{}),
+		idx: idx, shard: shard, lockstep: lockstep,
+		nodes:    make([]*node.Node, len(ids)),
+		ids:      make([]network.NodeID, len(ids)),
+		lastTick: make([]uint64, len(ids)),
+		horizon:  make([]uint64, len(ids)),
 	}
-	for _, id := range ids {
-		c.nodes = append(c.nodes, all[id])
-		c.ids = append(c.ids, network.NodeID(id))
-		c.lastTick = append(c.lastTick, 0)
+	for i, id := range ids {
+		c.nodes[i] = all[id]
+		c.ids[i] = network.NodeID(id)
 		// Before its first tick every node is one fetch away from work.
-		c.horizon = append(c.horizon, 1)
+		c.horizon[i] = 1
 	}
 	return c
 }
@@ -144,9 +159,15 @@ func (c *cluster) advance(safe, limit uint64) {
 			return
 		}
 		t := c.nextEventTime()
-		if t > lim { // includes NoEvent
+		if t > lim { // includes NoEvent under a finite limit
 			c.clock = lim // provably-idle stretch: pure lag, no work
 			continue
+		}
+		if t == memtypes.NoEvent {
+			// Only an unbounded epoch (one cluster, no MaxCycles, no
+			// watchdog) gets here: nothing can ever happen again.
+			panic(fmt.Sprintf("sim: deadlock at cycle %d: no pending event and no MaxCycles or watchdog bound\n%s",
+				c.clock, debugState(c.nodes)))
 		}
 		if t <= c.clock {
 			panic(fmt.Sprintf("sim: cluster %d event horizon %d not beyond clock %d", c.idx, t, c.clock))
@@ -157,8 +178,8 @@ func (c *cluster) advance(safe, limit uint64) {
 }
 
 // runCycle simulates exactly cycle t: deliver arrivals, then tick every due
-// node (ascending node ID, matching the serial loops' order), replaying
-// each ticked node's lag first.
+// node (ascending node ID, the order every send's ordering key assumes),
+// replaying each ticked node's lag first.
 func (c *cluster) runCycle(t uint64) {
 	c.shard.Tick(t)
 	for i, n := range c.nodes {
@@ -169,16 +190,24 @@ func (c *cluster) runCycle(t uint64) {
 			}
 			n.Tick(t)
 			c.lastTick[i] = t
-			c.horizon[i] = n.NextEvent()
+			if c.lockstep {
+				c.horizon[i] = t + 1
+			} else {
+				c.horizon[i] = n.NextEvent()
+			}
+			if n.Core().RetiredThisCycle > 0 {
+				c.lastRetire = t
+			}
 			c.st.NodeTicks++
 		}
 	}
+	c.lastCycle = t
 	c.st.SimulatedCycles++
 }
 
 // flushLag brings every node's accounting up to cycle "to" (all remaining
-// lag is provably idle), aligning the cluster with what the serial loops
-// would have ticked or skipped by then.
+// lag is provably idle), aligning the cluster with what lock-step would
+// have ticked by then.
 func (c *cluster) flushLag(to uint64) {
 	for i, n := range c.nodes {
 		if gap := to - c.lastTick[i]; gap > 0 {
@@ -192,84 +221,56 @@ func (c *cluster) flushLag(to uint64) {
 
 // ---------------------------------------------------------------- runner
 
-// runParallel is the coordinator: it drives the cluster workers through
-// epochs of length lookahead, exchanges cross-shard messages at barriers,
-// fast-forwards whole-system idle stretches, and resolves the exact finish
-// cycle.
-func (s *System) runParallel() Result {
-	clusters := make([]*cluster, len(s.shards))
-	for ci := range s.shards {
-		clusters[ci] = newCluster(ci, s.shards[ci], s.nodes, s.clusterNodes[ci])
+// run is the coordinator: it drives the clusters through epochs, exchanges
+// cross-shard messages at barriers, fast-forwards whole-system idle
+// stretches, and resolves the exact finish cycle. It returns true when
+// every node finished, false when MaxCycles truncated the run. One cluster
+// advances on the caller's goroutine; several get one worker goroutine
+// each, unless a per-cycle observation hook (DebugHook, coherence tracing)
+// is set: then every cluster advances on the caller's goroutine, one cycle
+// per epoch, so the hook sees cycles in order.
+func (s *System) run() bool {
+	hooked := s.DebugHook != nil || coherence.TraceOn()
+	la := s.lookahead
+	if hooked {
+		la = 1
+	} else if len(s.clusters) > 1 {
+		s.startWorkers()
+		defer s.stopWorkers()
 	}
-	for _, c := range clusters {
-		go func(c *cluster) {
-			for cmd := range c.cmds {
-				c.advance(cmd.safe, cmd.limit)
-				c.done <- struct{}{}
-			}
-		}(c)
-	}
-	defer func() {
-		for _, c := range clusters {
-			close(c.cmds)
-		}
-		for _, c := range clusters {
-			s.runnerStats.Merge(&c.st) // ascending cluster order: deterministic
-		}
-	}()
-
-	lookahead := s.lookahead()
-	var (
-		epochEnd     uint64 // every cluster has simulated through epochEnd
-		safe         uint64 // serial provably reaches this cycle (F >= safe)
-		lastRetired  uint64
-		lastProgress uint64
-	)
+	st := &s.clusters[0].st // coordinator-level counters
 	for {
-		// Whole-system idle jump, mirroring the serial idle-skip bounds: the
-		// clock may advance to one cycle before the global horizon, but never
-		// across MaxCycles or the watchdog deadline. No node ticks, so no
-		// Finished flag can change during the jumped stretch — the run
-		// cannot end inside it.
-		h := uint64(memtypes.NoEvent)
-		for _, c := range clusters {
-			if t := c.nextEventTime(); t < h {
-				h = t
-			}
+		// Whole-system idle jump: the clock may advance to one cycle before
+		// the global horizon, but never across MaxCycles or the watchdog
+		// deadline. No node ticks, so no Finished flag can change during
+		// the jumped stretch — the run cannot end inside it.
+		bound := s.bound()
+		jump := bound
+		if h := s.nextEventTime(); h != memtypes.NoEvent && h-1 < jump {
+			jump = h - 1
 		}
-		if h != memtypes.NoEvent && h > epochEnd+1 {
-			jump := h - 1
-			if s.cfg.MaxCycles > 0 && jump > s.cfg.MaxCycles {
-				jump = s.cfg.MaxCycles
+		if jump != memtypes.NoEvent && jump > s.now {
+			st.IdleJumpCycles += jump - s.now
+			for _, c := range s.clusters {
+				c.clock = jump
 			}
-			if s.cfg.WatchdogCycles > 0 {
-				if deadline := lastProgress + s.cfg.WatchdogCycles + 1; jump > deadline {
-					jump = deadline
-				}
-			}
-			if jump > epochEnd {
-				clusters[0].st.IdleJumpCycles += jump - epochEnd
-				for _, c := range clusters {
-					c.clock = jump
-				}
-				epochEnd = jump
-				if safe < epochEnd {
-					safe = epochEnd
-				}
-			}
+			s.now = jump
 		}
 
-		target := epochEnd + lookahead
-		if s.cfg.MaxCycles > 0 && target > s.cfg.MaxCycles {
-			target = s.cfg.MaxCycles
+		target := bound
+		if target-s.now > la {
+			target = s.now + la
 		}
-
-		s.dispatch(clusters, safe, target)
-		if res, end := s.resolve(clusters, &safe, target); end {
-			return res
+		s.dispatch(s.clusters, s.now, target)
+		ended := s.resolve(target)
+		if s.DebugHook != nil && s.simulated(target) {
+			s.DebugHook(target)
 		}
-		epochEnd = target
-		clusters[0].st.Epochs++
+		if ended {
+			return true
+		}
+		s.now = target
+		st.Epochs++
 
 		// Barrier exchange: move every cross-cluster message into the shard
 		// that owns its destination. All of them arrive after target (the
@@ -277,44 +278,111 @@ func (s *System) runParallel() Result {
 		// they could be delivered.
 		s.exchange()
 
-		if s.cfg.MaxCycles > 0 && epochEnd >= s.cfg.MaxCycles {
-			for _, c := range clusters {
-				c.flushLag(epochEnd)
+		if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
+			for _, c := range s.clusters {
+				c.flushLag(s.now)
 			}
-			s.now = epochEnd
-			return s.result(false)
+			return false
 		}
-		if total := s.totalRetired(); total != lastRetired {
-			lastRetired = total
-			lastProgress = epochEnd
-		} else if s.cfg.WatchdogCycles > 0 && epochEnd-lastProgress > s.cfg.WatchdogCycles {
+		if w := s.cfg.WatchdogCycles; w > 0 && s.now-s.lastRetire() > w {
 			panic(fmt.Sprintf("sim: no retirement progress for %d cycles at cycle %d\n%s",
-				s.cfg.WatchdogCycles, epochEnd, s.debugState()))
+				w, s.now, debugState(s.nodes)))
 		}
 	}
 }
 
-// dispatch runs advance(safe, limit) on every cluster in sel concurrently
+// bound is the last cycle the next epoch may reach: MaxCycles or the
+// watchdog deadline (one cycle past WatchdogCycles without a retirement),
+// whichever comes first; memtypes.NoEvent when neither is set.
+func (s *System) bound() uint64 {
+	b := uint64(memtypes.NoEvent)
+	if s.cfg.MaxCycles > 0 {
+		b = s.cfg.MaxCycles
+	}
+	if w := s.cfg.WatchdogCycles; w > 0 {
+		if d := s.lastRetire() + w + 1; d < b {
+			b = d
+		}
+	}
+	return b
+}
+
+func (s *System) lastRetire() uint64 {
+	var t uint64
+	for _, c := range s.clusters {
+		t = max(t, c.lastRetire)
+	}
+	return t
+}
+
+func (s *System) nextEventTime() uint64 {
+	h := uint64(memtypes.NoEvent)
+	for _, c := range s.clusters {
+		h = min(h, c.nextEventTime())
+	}
+	return h
+}
+
+// simulated reports whether some cluster simulated cycle t.
+func (s *System) simulated(t uint64) bool {
+	for _, c := range s.clusters {
+		if c.lastCycle == t {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *System) startWorkers() {
+	for _, c := range s.clusters {
+		c.cmds = make(chan clusterCmd)
+		c.done = make(chan struct{})
+		go func(c *cluster, cmds <-chan clusterCmd, done chan<- struct{}) {
+			for cmd := range cmds {
+				c.advance(cmd.safe, cmd.limit)
+				done <- struct{}{}
+			}
+		}(c, c.cmds, c.done)
+	}
+}
+
+func (s *System) stopWorkers() {
+	for _, c := range s.clusters {
+		close(c.cmds)
+		c.cmds, c.done = nil, nil
+	}
+}
+
+// dispatch runs advance(safe, limit) on every cluster in sel — concurrently
+// on the workers if they are running, else in order on this goroutine —
 // and waits for all of them (the barrier).
 func (s *System) dispatch(sel []*cluster, safe, limit uint64) {
 	for _, c := range sel {
-		c.cmds <- clusterCmd{safe: safe, limit: limit}
+		if c.cmds == nil {
+			c.advance(safe, limit)
+		} else {
+			c.cmds <- clusterCmd{safe: safe, limit: limit}
+		}
 	}
 	for _, c := range sel {
-		<-c.done
+		if c.cmds != nil {
+			<-c.done
+		}
 	}
 }
 
-// resolve runs the endgame protocol after an epoch's advance. The serial
-// loops end at the first cycle F at which every node is Finished; here each
-// cluster pauses at its own first all-finished cycle, and F — if it lies in
-// this epoch — is the fixpoint of: take the maximum pause cycle F*, prove
-// the run reaches it (every earlier cycle had an unfinished node in the
-// cluster that paused at F*), let the clusters behind catch up to it, and
-// repeat until either every cluster pauses at the same cycle (the run ends
-// there) or some cluster passes the epoch end unfinished (the run
+// resolve runs the endgame protocol after an epoch's advance, returning
+// true (with s.now at the finish cycle) when the run ends in this epoch.
+// The run ends at the first cycle F at which every node is Finished; each
+// cluster pauses at its own first all-finished cycle, and F — if it lies
+// in this epoch — is the fixpoint of: take the maximum pause cycle F*,
+// prove the run reaches it (every earlier cycle had an unfinished node in
+// the cluster that paused at F*), let the clusters behind catch up to it,
+// and repeat until either every cluster pauses at the same cycle (the run
+// ends there) or some cluster passes the epoch end unfinished (the run
 // continues; stragglers catch up to the epoch end).
-func (s *System) resolve(clusters []*cluster, safe *uint64, target uint64) (Result, bool) {
+func (s *System) resolve(target uint64) bool {
+	clusters := s.clusters
 	for {
 		allPaused := true
 		for _, c := range clusters {
@@ -325,7 +393,6 @@ func (s *System) resolve(clusters []*cluster, safe *uint64, target uint64) (Resu
 		}
 		if !allPaused {
 			// The run provably extends through target: catch stragglers up.
-			*safe = target
 			var behind []*cluster
 			for _, c := range clusters {
 				if c.paused && c.clock < target {
@@ -339,7 +406,7 @@ func (s *System) resolve(clusters []*cluster, safe *uint64, target uint64) (Resu
 			for _, c := range clusters {
 				c.paused = false
 			}
-			return Result{}, false
+			return false
 		}
 		f := clusters[0].pauseCycle
 		same := true
@@ -353,14 +420,13 @@ func (s *System) resolve(clusters []*cluster, safe *uint64, target uint64) (Resu
 		}
 		if same {
 			// Every node Finished at f, and no cluster simulated past it:
-			// this is exactly where the serial loops return.
+			// this is exactly where lock-step returns.
 			for _, c := range clusters {
 				c.flushLag(f)
 			}
 			s.now = f
-			return s.result(true), true
+			return true
 		}
-		*safe = f
 		var behind []*cluster
 		for _, c := range clusters {
 			if c.clock < f {
@@ -373,26 +439,22 @@ func (s *System) resolve(clusters []*cluster, safe *uint64, target uint64) (Resu
 }
 
 // lookahead computes the epoch length: the minimum message latency between
-// any two nodes in different clusters. Self-messages (LocalLatency) are
-// always intra-cluster, so the bound is at least one torus hop.
-func (s *System) lookahead() uint64 {
+// any two nodes in different clusters (memtypes.NoEvent for one cluster).
+// Self-messages (LocalLatency) are always intra-cluster, so with several
+// clusters the bound is at least one torus hop.
+func lookahead(net *network.Network, groups [][]int) uint64 {
 	la := uint64(memtypes.NoEvent)
-	for ci, as := range s.clusterNodes {
-		for cj, bs := range s.clusterNodes {
+	for ci, as := range groups {
+		for cj, bs := range groups {
 			if ci == cj {
 				continue
 			}
 			for _, a := range as {
 				for _, b := range bs {
-					if l := s.shards[0].Latency(network.NodeID(a), network.NodeID(b)); l < la {
-						la = l
-					}
+					la = min(la, net.Latency(network.NodeID(a), network.NodeID(b)))
 				}
 			}
 		}
-	}
-	if la == 0 || la == memtypes.NoEvent {
-		la = 1
 	}
 	return la
 }
@@ -403,50 +465,30 @@ func (s *System) lookahead() uint64 {
 // suffices.
 func (s *System) exchange() {
 	if s.xferScratch == nil {
-		s.xferScratch = make([][]network.Message, len(s.shards))
+		s.xferScratch = make([][]network.Message, len(s.clusters))
 	}
-	for _, src := range s.shards {
-		for _, m := range src.DrainOutbox() {
+	for _, src := range s.clusters {
+		for _, m := range src.shard.DrainOutbox() {
 			c := s.clusterOf[int(m.Dst)]
 			s.xferScratch[c] = append(s.xferScratch[c], m)
 		}
 	}
 	for c, ms := range s.xferScratch {
 		if len(ms) > 0 {
-			s.shards[c].Inject(ms)
+			s.clusters[c].shard.Inject(ms)
 			s.xferScratch[c] = ms[:0]
 		}
 	}
 }
 
-// RunnerStats returns the parallel runner's merged telemetry for the
-// completed run (zero for the serial runners). It is intentionally not part
-// of Result: all runners must produce deeply-equal Results.
-func (s *System) RunnerStats() stats.RunnerStats { return s.runnerStats }
-
-// ----------------------------------------------------- sharded lock-step
-
-// runLockstepSharded drives a clustered system with the naive per-cycle
-// loop: tick every shard and node each cycle, exchange cross-shard messages
-// at cycle end. It exists so per-cycle observation hooks (DebugHook,
-// coherence tracing) keep their in-order, single-goroutine contract on
-// clustered systems, and as a third oracle in the bit-exactness tests.
-// Cross-shard messages sent at cycle t arrive at t+latency >= t+1, so an
-// end-of-cycle exchange precedes every possible delivery.
-func (s *System) runLockstepSharded() Result {
-	var lastRetired uint64
-	var lastProgress uint64
-	for {
-		s.now++
-		for _, sh := range s.shards {
-			sh.Tick(s.now)
-		}
-		for _, n := range s.nodes {
-			n.Tick(s.now)
-		}
-		s.exchange()
-		if res, done := s.cycleEpilogue(&lastRetired, &lastProgress); done {
-			return res
-		}
+// RunnerStats returns the loop's telemetry for the run so far, merged over
+// clusters in ascending order. It is intentionally not part of Result:
+// every runner setting must produce deeply-equal Results, while the work
+// the loop does to get there differs.
+func (s *System) RunnerStats() stats.RunnerStats {
+	var r stats.RunnerStats
+	for _, c := range s.clusters {
+		r.Merge(&c.st)
 	}
+	return r
 }

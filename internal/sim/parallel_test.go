@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"invisifence/internal/consistency"
@@ -32,8 +33,9 @@ var runnerCases = []struct {
 	{"aso", consistency.SC, ifcore.DefaultASO()},
 }
 
-// runWith runs the contended-program system under one runner selection.
-func runWith(t *testing.T, model consistency.Model, eng ifcore.Config, mutate func(*Config)) Result {
+// runWith runs the contended-program system under one runner setting, with
+// hook (if non-nil) as its DebugHook.
+func runWith(t *testing.T, model consistency.Model, eng ifcore.Config, mutate func(*Config), hook func(uint64)) Result {
 	t.Helper()
 	cfg := testConfig(2, 2, model, eng)
 	mutate(&cfg)
@@ -43,6 +45,7 @@ func runWith(t *testing.T, model consistency.Model, eng ifcore.Config, mutate fu
 		progs[i] = programFor(model, i, nnodes)
 	}
 	s := New(cfg, progs, nil)
+	s.DebugHook = hook
 	res := s.Run()
 	if !res.Finished {
 		t.Fatalf("run did not finish (cycles=%d)", res.Cycles)
@@ -50,23 +53,22 @@ func runWith(t *testing.T, model consistency.Model, eng ifcore.Config, mutate fu
 	return res
 }
 
-// TestParallelBitExact proves the conservative parallel runner is invisible:
-// for every consistency implementation, the full Result — cycles,
-// retirement counts, the per-class cycle breakdown, per-node stats, and
-// every event counter — is identical across the lock-step loop, the serial
-// event-horizon loop, and the parallel runner at two cluster counts
-// (including one that divides the nodes unevenly).
+// TestParallelBitExact proves the loop's parameters are invisible: for every
+// consistency implementation, the full Result — cycles, retirement counts,
+// the per-class cycle breakdown, per-node stats, and every event counter —
+// is identical across lock-step, the default one-shard loop, and two
+// cluster counts (including one that divides the nodes unevenly).
 func TestParallelBitExact(t *testing.T) {
 	for _, c := range runnerCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			lockstep := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.DisableIdleSkip = true })
-			skipped := runWith(t, c.model, c.eng, func(cfg *Config) {})
-			par2 := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.Clusters = 2 })
-			par3 := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.Clusters = 3 })
+			lockstep := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.DisableIdleSkip = true }, nil)
+			skipped := runWith(t, c.model, c.eng, func(cfg *Config) {}, nil)
+			par2 := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.Clusters = 2 }, nil)
+			par3 := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.Clusters = 3 }, nil)
 			if !reflect.DeepEqual(lockstep, skipped) {
-				t.Errorf("idle-skip diverged from lock-step:\nlock-step: %+v\nidle-skip: %+v", lockstep, skipped)
+				t.Errorf("default loop diverged from lock-step:\nlock-step: %+v\ndefault:   %+v", lockstep, skipped)
 			}
 			if !reflect.DeepEqual(lockstep, par2) {
 				t.Errorf("parallel(2) diverged from lock-step:\nlock-step: %+v\nparallel:  %+v", lockstep, par2)
@@ -78,60 +80,95 @@ func TestParallelBitExact(t *testing.T) {
 	}
 }
 
-// TestParallelFallbacks pins the serial-fallback rules: cluster counts the
-// node count cannot satisfy, DisableIdleSkip, and jitter all build a
-// serial (unsharded) system, and a sharded system with a DebugHook takes
-// the sharded lock-step loop (hook sees every cycle exactly once).
+// TestParallelFallbacks pins the two rules that fall back to one cluster
+// — more clusters than nodes, and jitter with Clusters >= 2 — and the hook
+// contract on a clustered system: the clusters advance in order on the
+// caller's goroutine, the hook sees strictly increasing simulated cycles
+// (every cycle under DisableIdleSkip), and the Result equals lock-step's.
 func TestParallelFallbacks(t *testing.T) {
 	base := testConfig(2, 2, consistency.SC, offEngine(consistency.SC))
-	for name, mutate := range map[string]func(*Config){
-		"clusters-exceed-nodes": func(c *Config) { c.Clusters = 5 },
-		"disable-idle-skip":     func(c *Config) { c.Clusters = 2; c.DisableIdleSkip = true },
-		"jitter":                func(c *Config) { c.Clusters = 2; c.Net.Jitter = 3 },
-		"one-cluster":           func(c *Config) { c.Clusters = 1 },
-	} {
-		cfg := base
-		mutate(&cfg)
-		nnodes := cfg.Net.Width * cfg.Net.Height
-		if k := effectiveClusters(cfg, nnodes); k != 1 {
-			t.Errorf("%s: effectiveClusters = %d, want 1 (serial fallback)", name, k)
-		}
-	}
-
-	cfg := base
-	cfg.Clusters = 2
 	progs := make([]*isa.Program, 4)
 	for i := range progs {
 		progs[i] = contendedProgram(i, 4)
 	}
-	s := New(cfg, progs, nil)
-	var hooks uint64
-	var last uint64
-	s.DebugHook = func(now uint64) {
-		if now != last+1 {
-			t.Fatalf("DebugHook skipped from %d to %d", last, now)
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		want   int
+	}{
+		{"default", func(c *Config) {}, 1},
+		{"two-clusters", func(c *Config) { c.Clusters = 2 }, 2},
+		{"clusters-exceed-nodes", func(c *Config) { c.Clusters = 5 }, 1},
+		{"jitter", func(c *Config) { c.Clusters = 2; c.Net.Jitter = 3 }, 1},
+	} {
+		cfg := base
+		c.mutate(&cfg)
+		if got := len(New(cfg, progs, nil).clusters); got != c.want {
+			t.Errorf("%s: %d clusters, want %d", c.name, got, c.want)
 		}
-		last = now
-		hooks++
 	}
-	res := s.Run()
-	if !res.Finished {
-		t.Fatal("hooked sharded run did not finish")
+
+	want := runWith(t, consistency.SC, offEngine(consistency.SC), func(c *Config) { c.DisableIdleSkip = true }, nil)
+	for _, lockstep := range []bool{false, true} {
+		var hooks, last uint64
+		res := runWith(t, consistency.SC, offEngine(consistency.SC), func(c *Config) {
+			c.Clusters = 2
+			c.DisableIdleSkip = lockstep
+		}, func(now uint64) {
+			if now <= last || (lockstep && now != last+1) {
+				t.Fatalf("lockstep=%v: DebugHook went from cycle %d to %d", lockstep, last, now)
+			}
+			last = now
+			hooks++
+		})
+		if last != res.Cycles || (lockstep && hooks != res.Cycles) || (!lockstep && hooks >= res.Cycles) {
+			t.Errorf("lockstep=%v: DebugHook ran %d times, last at %d, for %d cycles", lockstep, hooks, last, res.Cycles)
+		}
+		if !reflect.DeepEqual(want, res) {
+			t.Errorf("lockstep=%v: hooked 2-cluster run diverged from lock-step:\nlock-step: %+v\nhooked:    %+v", lockstep, want, res)
+		}
 	}
-	if hooks != res.Cycles {
-		t.Errorf("DebugHook ran %d times for %d cycles", hooks, res.Cycles)
-	}
-	want := runWith(t, consistency.SC, offEngine(consistency.SC), func(c *Config) { c.DisableIdleSkip = true })
-	if !reflect.DeepEqual(want, res) {
-		t.Errorf("sharded lock-step diverged from serial lock-step:\nserial:  %+v\nsharded: %+v", want, res)
+}
+
+// TestWatchdog pins the retirement watchdog: with every core stuck in a
+// 5000-cycle Delay and a 1000-cycle watchdog, lock-step and the default
+// loop both panic one cycle past the deadline, and a clustered run panics
+// too.
+func TestWatchdog(t *testing.T) {
+	b := isa.NewBuilder("stuck")
+	b.Delay(5000)
+	b.Halt()
+	prog := b.MustBuild()
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"lockstep", func(c *Config) { c.DisableIdleSkip = true }, "no retirement progress for 1000 cycles at cycle 1001\n"},
+		{"default", func(c *Config) {}, "no retirement progress for 1000 cycles at cycle 1001\n"},
+		{"two-clusters", func(c *Config) { c.Clusters = 2 }, "no retirement progress for 1000 cycles at cycle "},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(2, 2, consistency.SC, offEngine(consistency.SC))
+			cfg.WatchdogCycles = 1000
+			c.mutate(&cfg)
+			s := New(cfg, []*isa.Program{prog, prog, prog, prog}, nil)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Fatalf("panic %q, want it to contain %q", msg, c.want)
+				}
+			}()
+			s.Run()
+		})
 	}
 }
 
 // TestParallelBitExactRandomPrograms is the seed-randomized equivalence
 // sweep: for a fixed list of seeds (no wall-clock dependence anywhere),
 // random multi-threaded programs must produce deeply-equal Results under
-// the serial event-horizon loop and the parallel runner, across a mix of
-// speculative and conventional implementations. MaxCycles truncation is
+// lock-step, the default one-shard loop, and two and three clusters, across
+// a mix of speculative and conventional implementations. MaxCycles truncation is
 // exercised too (seeded runs that hit the bound must truncate at the same
 // cycle with identical partial stats).
 func TestParallelBitExactRandomPrograms(t *testing.T) {
@@ -164,11 +201,12 @@ func TestParallelBitExactRandomPrograms(t *testing.T) {
 				s := New(cfg, progs, regInits)
 				return s.Run()
 			}
-			serial := run(func(*Config) {})
-			par := run(func(c *Config) { c.Clusters = 2 })
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("seed %d/%s: parallel diverged from serial:\nserial:   %+v\nparallel: %+v",
-					seed, e.name, serial, par)
+			lockstep := run(func(c *Config) { c.DisableIdleSkip = true })
+			for _, k := range []int{0, 2, 3} {
+				if res := run(func(c *Config) { c.Clusters = k }); !reflect.DeepEqual(lockstep, res) {
+					t.Errorf("seed %d/%s: clusters=%d diverged from lock-step:\nlock-step: %+v\nclusters:  %+v",
+						seed, e.name, k, lockstep, res)
+				}
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"invisifence/internal/cache"
-	"invisifence/internal/coherence"
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
 	"invisifence/internal/network"
@@ -22,27 +21,26 @@ type Config struct {
 	// MaxCycles bounds the run (0 = unbounded).
 	MaxCycles uint64
 	// WatchdogCycles panics if no instruction retires anywhere for this
-	// long (deadlock detector; 0 disables).
+	// long (deadlock detector; 0 disables). The panic names the cycle one
+	// past the deadline, under every runner setting.
 	WatchdogCycles uint64
-	// DisableIdleSkip forces the naive lock-step loop that ticks every
-	// cycle, instead of jumping the clock over provably-idle stretches.
-	// Results are bit-exact either way; the flag exists so the bench
-	// harness (cmd/bench) can measure the event-horizon scheduler's
-	// speedup, and as a diagnostic bisect knob. It also disables the
-	// parallel runner (Clusters), since that builds on the same horizons.
+	// DisableIdleSkip runs the cycle loop lock-step: every node's event
+	// horizon is forced to the next cycle, so every node and shard ticks
+	// every cycle. Results are bit-exact either way; the flag is the
+	// oracle the horizon hints are tested against, a baseline for the
+	// bench harness, and a diagnostic bisect knob. It combines freely
+	// with Clusters.
 	DisableIdleSkip bool
-	// Clusters >= 2 selects the conservative parallel runner: the torus is
-	// partitioned into that many node clusters, each simulated by its own
-	// goroutine over its own network shard with per-node local clocks,
-	// synchronized at epoch barriers derived from the minimum cross-cluster
-	// message latency (DESIGN.md §7). Results are bit-exact against both
-	// serial loops (TestParallelBitExact). The runner falls back to the
-	// serial loops when Clusters < 2, when the system has fewer nodes than
-	// clusters, when DisableIdleSkip is set, or when the network uses
-	// jitter (whose RNG is consumed in global send order that shards cannot
-	// reproduce); setting DebugHook — or enabling coherence tracing — on a
-	// clustered system selects the sharded lock-step loop, so per-cycle
-	// observation hooks see every cycle in order from one goroutine.
+	// Clusters >= 2 partitions the torus into that many node clusters, each
+	// simulated by its own goroutine over its own network shard, synchronized
+	// at epoch barriers derived from the minimum cross-cluster message
+	// latency (DESIGN.md §7). By default (<= 1) one shard owns every node and
+	// the loop runs on the caller's goroutine. Results are bit-exact at any
+	// setting (TestParallelBitExact). Two rules fall back to one cluster:
+	// more clusters than nodes, and network jitter (its RNG is consumed in
+	// global send order, which only a shard owning every node reproduces).
+	// With a DebugHook or coherence tracing set, the clusters advance one
+	// after another on the caller's goroutine, one cycle per epoch.
 	Clusters int
 }
 
@@ -66,48 +64,38 @@ type Result struct {
 
 	// Net is the interconnect's link-contention telemetry (all-zero when
 	// Config.Net.LinkBandwidth is 0). Unlike RunnerStats it is part of
-	// Result because it is simulated machine state, deterministic across
-	// all three runners: link reservations are per-source-node, so every
-	// runner computes identical occupancy, and the per-shard counters
-	// merge order-independently (stats.NetStats).
+	// Result because it is simulated machine state, deterministic under
+	// every runner setting: link reservations are per-source-node, so
+	// every partition computes identical occupancy, and the per-shard
+	// counters merge order-independently (stats.NetStats).
 	Net stats.NetStats
 }
 
 // System is one assembled machine.
 type System struct {
 	cfg   Config
-	net   *network.Network // whole torus; nil when the system is sharded
 	nodes []*node.Node
-	now   uint64
+	// now is the last cycle every node's state reflects (ticked or
+	// provably idle): the last epoch end, and Result.Cycles once Run
+	// returns.
+	now uint64
 
-	// Sharded construction (Config.Clusters >= 2): shards[c] is cluster c's
-	// network partition, clusterNodes[c] its node indices (ascending,
-	// contiguous), and clusterOf[id] the owning cluster. Empty for serial
-	// systems.
-	shards       []*network.Network
-	clusterNodes [][]int
-	clusterOf    []int
-	xferScratch  [][]network.Message // barrier-exchange regrouping buffers
+	// clusters partition the nodes into contiguous index ranges, each over
+	// its own network shard; one cluster owns every node unless
+	// Config.Clusters asks for more. clusterOf[id] is node id's cluster,
+	// lookahead the epoch length (DESIGN.md §7), and xferScratch the
+	// barrier exchange's regrouping buffers.
+	clusters    []*cluster
+	clusterOf   []int
+	lookahead   uint64
+	xferScratch [][]network.Message
 
-	// runnerStats accumulates parallel-runner telemetry (kept out of Result
-	// so all three runners produce deeply-equal Results).
-	runnerStats stats.RunnerStats
-
-	// DebugHook, when set, runs after every ticked cycle (diagnostics,
-	// trace dumps). Skipped cycles do not invoke it. On a clustered system
-	// it forces the sharded lock-step loop, so the hook observes every
-	// cycle in order.
+	// DebugHook, when set, runs on the caller's goroutine after every
+	// simulated cycle, in increasing cycle order (every cycle under
+	// DisableIdleSkip). Cycles at which no node or shard has an event are
+	// not simulated and do not invoke it; nodes idle at a hooked cycle may
+	// lag in their cycle-class accounting until their next tick.
 	DebugHook func(now uint64)
-}
-
-// effectiveClusters resolves Config.Clusters against the fallback rules
-// documented on the field.
-func effectiveClusters(cfg Config, nnodes int) int {
-	k := cfg.Clusters
-	if k < 2 || nnodes < k || cfg.DisableIdleSkip || cfg.Net.Jitter > 0 {
-		return 1
-	}
-	return k
 }
 
 // New builds the system. programs[i] runs on node i; regs[i] seeds its
@@ -117,23 +105,20 @@ func New(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word)
 	if len(programs) != nnodes {
 		panic(fmt.Sprintf("sim: %d programs for %d nodes", len(programs), nnodes))
 	}
-	s := &System{cfg: cfg}
-	k := effectiveClusters(cfg, nnodes)
-	netFor := func(i int) *network.Network { return s.net }
-	if k >= 2 {
-		s.clusterNodes = partition(nnodes, k)
-		s.clusterOf = make([]int, nnodes)
-		for c, ids := range s.clusterNodes {
-			owned := make([]bool, nnodes)
-			for _, id := range ids {
-				owned[id] = true
-				s.clusterOf[id] = c
-			}
-			s.shards = append(s.shards, network.NewShard(cfg.Net, owned))
+	k := cfg.Clusters
+	if k < 1 || k > nnodes || cfg.Net.Jitter > 0 {
+		k = 1
+	}
+	s := &System{cfg: cfg, clusterOf: make([]int, nnodes)}
+	groups := partition(nnodes, k)
+	shards := make([]*network.Network, k)
+	for c, ids := range groups {
+		owned := make([]bool, nnodes)
+		for _, id := range ids {
+			owned[id] = true
+			s.clusterOf[id] = c
 		}
-		netFor = func(i int) *network.Network { return s.shards[s.clusterOf[i]] }
-	} else {
-		s.net = network.New(cfg.Net)
+		shards[c] = network.NewShard(cfg.Net, owned)
 	}
 	for i := 0; i < nnodes; i++ {
 		nc := cfg.Node
@@ -143,8 +128,12 @@ func New(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word)
 		if regs != nil {
 			r = regs[i]
 		}
-		s.nodes = append(s.nodes, node.New(nc, netFor(i), programs[i], r))
+		s.nodes = append(s.nodes, node.New(nc, shards[s.clusterOf[i]], programs[i], r))
 	}
+	for c, ids := range groups {
+		s.clusters = append(s.clusters, newCluster(c, shards[c], s.nodes, ids, cfg.DisableIdleSkip))
+	}
+	s.lookahead = lookahead(shards[0], groups)
 	return s
 }
 
@@ -203,143 +192,16 @@ func (s *System) ReadWord(a memtypes.Addr) memtypes.Word {
 	return s.nodes[home].Memory().ReadWord(a)
 }
 
-// Run executes the simulation until every node quiesces (or limits hit),
-// selecting one of three bit-exact runners (DESIGN.md §6-§7):
-//
-//   - lock-step (DisableIdleSkip): tick every component every cycle;
-//   - event-horizon serial (default): ask every component for the earliest
-//     future cycle at which it could change state on its own, and jump the
-//     clock over stretches in which the whole machine is provably idle;
-//   - conservative parallel (Clusters >= 2): per-node local clocks, one
-//     goroutine per node cluster over a network shard, epoch barriers at
-//     the minimum cross-cluster latency.
-//
-// Skipped cycles are provably state-preserving, so all three produce
-// deeply-equal Results (TestIdleSkipBitExact, TestParallelBitExact,
-// TestGoldenResults).
-func (s *System) Run() Result {
-	if len(s.shards) > 0 {
-		// Per-cycle observation hooks (DebugHook, coherence tracing) need
-		// cycles in order from one goroutine; the sharded lock-step loop
-		// keeps their contract on clustered systems.
-		if s.DebugHook != nil || coherence.TraceAddr != 0 {
-			return s.runLockstepSharded()
-		}
-		return s.runParallel()
-	}
-	return s.runSerial()
-}
+// Run executes the simulation until every node quiesces (or MaxCycles
+// truncates it). The cluster event loop (DESIGN.md §6-§7) is the only code
+// that advances the clock; lock-step, the cluster count, and the
+// per-cycle observation hooks are parameters of it, and every setting
+// produces deeply-equal Results (TestParallelBitExact, TestGoldenResults).
+func (s *System) Run() Result { return s.result(s.run()) }
 
-// runSerial is the single-threaded cycle loop: lock-step when
-// DisableIdleSkip is set, event-horizon scheduled otherwise.
-func (s *System) runSerial() Result {
-	var lastRetired uint64
-	var lastProgress uint64
-	for {
-		s.now++
-		s.net.Tick(s.now)
-		for _, n := range s.nodes {
-			n.Tick(s.now)
-		}
-		if res, done := s.cycleEpilogue(&lastRetired, &lastProgress); done {
-			return res
-		}
-		if !s.cfg.DisableIdleSkip {
-			s.idleSkip(lastProgress)
-		}
-	}
-}
-
-// cycleEpilogue runs the per-cycle loops' shared end-of-cycle protocol —
-// DebugHook, the all-finished check, MaxCycles truncation, and the
-// retirement watchdog — returning (result, true) when the run ends this
-// cycle. Both serial loops and the sharded lock-step loop share it so the
-// termination semantics cannot drift apart (the three-runner bit-exactness
-// contract pins them).
-func (s *System) cycleEpilogue(lastRetired, lastProgress *uint64) (Result, bool) {
-	if s.DebugHook != nil {
-		s.DebugHook(s.now)
-	}
-	done := true
-	for _, n := range s.nodes {
-		if !n.Finished() {
-			done = false
-			break
-		}
-	}
-	if done {
-		return s.result(true), true
-	}
-	if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
-		return s.result(false), true
-	}
-	if s.cfg.WatchdogCycles > 0 {
-		total := s.totalRetired()
-		if total != *lastRetired {
-			*lastRetired = total
-			*lastProgress = s.now
-		} else if s.now-*lastProgress > s.cfg.WatchdogCycles {
-			panic(fmt.Sprintf("sim: no retirement progress for %d cycles at cycle %d\n%s",
-				s.cfg.WatchdogCycles, s.now, s.debugState()))
-		}
-	}
-	return Result{}, false
-}
-
-// idleSkip jumps the clock to one cycle before the next event when every
-// component reports no possible work until then. Per-cycle bookkeeping for
-// the skipped stretch (cycle-class accounting, wrong-path fetch counters)
-// is replayed in bulk by each node.
-func (s *System) idleSkip(lastProgress uint64) {
-	horizon := s.net.NextEvent()
-	if horizon <= s.now+1 {
-		return
-	}
-	for _, n := range s.nodes {
-		e := n.NextEvent()
-		if e <= s.now+1 {
-			return
-		}
-		if e < horizon {
-			horizon = e
-		}
-	}
-	// Never jump past the run bounds: MaxCycles must truncate, and the
-	// watchdog must fire, at exactly the same cycle as the lock-step loop.
-	if s.cfg.MaxCycles > 0 && s.cfg.MaxCycles < horizon {
-		horizon = s.cfg.MaxCycles
-	}
-	if s.cfg.WatchdogCycles > 0 {
-		if deadline := lastProgress + s.cfg.WatchdogCycles + 1; deadline < horizon {
-			horizon = deadline
-		}
-	}
-	if horizon == memtypes.NoEvent {
-		// A global quiescence failure with no bounds configured: spin like
-		// the lock-step loop rather than inventing a termination cycle.
-		return
-	}
-	if horizon <= s.now+1 {
-		return
-	}
-	k := horizon - s.now - 1
-	for _, n := range s.nodes {
-		n.SkipCycles(k)
-	}
-	s.now += k
-}
-
-func (s *System) totalRetired() uint64 {
-	var t uint64
-	for _, n := range s.nodes {
-		t += n.Core().Retired
-	}
-	return t
-}
-
-func (s *System) debugState() string {
+func debugState(nodes []*node.Node) string {
 	out := ""
-	for i, n := range s.nodes {
+	for i, n := range nodes {
 		c := n.Core()
 		out += fmt.Sprintf("node %d: halted=%v pc=%d rob=%d sb=%d retired=%d spec=%v\n",
 			i, c.Halted(), c.ArchPC(), c.ROBOccupancy(), n.SBOccupancy(),
@@ -353,12 +215,8 @@ func (s *System) result(finished bool) Result {
 		Cycles:   s.now,
 		Finished: finished,
 	}
-	if s.net != nil {
-		r.Net = s.net.Contention
-	} else {
-		for _, sh := range s.shards { // ascending shard order; Merge is order-independent anyway
-			r.Net.Merge(&sh.Contention)
-		}
+	for _, c := range s.clusters { // ascending shard order; Merge is order-independent anyway
+		r.Net.Merge(&c.shard.Contention)
 	}
 	var specCycles, totalCycles uint64
 	for _, n := range s.nodes {

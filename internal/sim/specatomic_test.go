@@ -73,9 +73,9 @@ func specAtomicPressureProgram(tid, threads int) *isa.Program {
 
 // TestIdleSkipBitExactSpecAtomicPressure pins the speculative-atomic stall
 // classification (cpu.HeadState operand plumbing + specAtomicStoreOutcome):
-// the lock-step loop, the event-horizon serial scheduler, and the parallel
-// runner must produce deeply-equal Results on a workload dominated by
-// buffer-blocked speculative atomics. A misclassified wait (skipping an
+// lock-step, the default one-shard loop, and two clusters must produce
+// deeply-equal Results on a workload dominated by buffer-blocked
+// speculative atomics. A misclassified wait (skipping an
 // attempt that would have marked a bit, started a cleaning, counted a stall,
 // or retired a failed CAS) diverges here.
 func TestIdleSkipBitExactSpecAtomicPressure(t *testing.T) {

@@ -146,13 +146,13 @@ func (s *NodeStats) SpecFraction() float64 {
 	return float64(s.SpecCycles) / float64(s.TotalCycles)
 }
 
-// RunnerStats is scheduler telemetry: how much work each runner actually
-// did to simulate a run. The parallel runner keeps one instance per cluster
-// goroutine (written only by that goroutine between barriers) and merges
-// them in ascending cluster order once the run completes, so the aggregate
-// is deterministic. It is deliberately not part of a run's Result: all
-// runners must produce deeply-equal Results, while their telemetry
-// necessarily differs.
+// RunnerStats is scheduler telemetry: how much work the cycle loop actually
+// did to simulate a run, filled for every run. The loop keeps one instance
+// per cluster (written only by that cluster's goroutine between barriers)
+// and sim.System.RunnerStats merges them in ascending cluster order, so
+// the aggregate is deterministic. It is deliberately not part of a run's
+// Result: every runner setting must produce deeply-equal Results, while
+// the work to get there necessarily differs.
 type RunnerStats struct {
 	// SimulatedCycles counts cycles at which at least one of the cluster's
 	// nodes ticked; NodeTicks counts individual node ticks and
@@ -186,7 +186,7 @@ func (r *RunnerStats) Merge(o *RunnerStats) {
 // contention telemetry, which keeps bandwidth-0 Results byte-identical to
 // the pre-contention simulator.
 //
-// The counters are deterministic across all three runners: every injection
+// The counters are deterministic under every runner setting: every injection
 // link belongs to exactly one source node, each node's sends happen at
 // identical cycles in identical order under every runner (the bit-exactness
 // contract), and the per-shard instances merge with order-independent

@@ -205,19 +205,19 @@ type Config struct {
 	Scale float64
 	// MaxCycles bounds the run (0 = the runner's generous default).
 	MaxCycles uint64
-	// DisableIdleSkip runs the naive lock-step cycle loop instead of the
-	// event-horizon scheduler. Simulated results are bit-identical either
-	// way (enforced by the golden tests), so the flag is excluded from
-	// cache keys; it exists for cmd/bench speedup measurements and as a
-	// diagnostic bisect knob.
+	// DisableIdleSkip runs the cycle loop lock-step: every node ticks every
+	// cycle instead of only at its event horizons. Simulated results are
+	// bit-identical either way (enforced by the golden tests), so the flag
+	// is excluded from cache keys; it exists for cmd/bench speedup
+	// measurements and as a diagnostic bisect knob.
 	DisableIdleSkip bool `json:"-"`
-	// Clusters >= 2 selects the conservative parallel runner: per-node
-	// local clocks with one goroutine per node cluster, synchronized at
-	// epoch barriers (DESIGN.md §7). Results are bit-identical to the
-	// serial loops (TestParallelBitExact), so — like DisableIdleSkip — the
-	// knob is a scheduler selection, excluded from cache keys. Values the
-	// runner cannot honor (more clusters than nodes, jitter, lock-step)
-	// fall back to the serial scheduler.
+	// Clusters >= 2 splits one simulation's nodes into that many clusters,
+	// each advanced by its own goroutine over its own network shard and
+	// synchronized at epoch barriers (DESIGN.md §7); by default one shard
+	// owns every node and the run stays on the caller's goroutine. Results
+	// are bit-identical at every setting (TestParallelBitExact), so — like
+	// DisableIdleSkip — the knob is excluded from cache keys. More clusters
+	// than nodes, or network jitter, fall back to one cluster.
 	Clusters int `json:"-"`
 }
 

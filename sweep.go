@@ -11,46 +11,47 @@ import (
 	"invisifence/internal/sweep"
 )
 
+// variantTable is the one variant vocabulary: each entry pairs the CLI/spec
+// spelling ("invisi-sc") with its constructor, whose Variant.Name
+// ("Invisi_sc") is the spelling Results, tables and BENCH files carry.
+// VariantByName accepts either, case-insensitively.
+var variantTable = []struct {
+	flag    string
+	variant func() Variant
+}{
+	{"sc", func() Variant { return ConventionalVariant(SC) }},
+	{"tso", func() Variant { return ConventionalVariant(TSO) }},
+	{"rmo", func() Variant { return ConventionalVariant(RMO) }},
+	{"rc", func() Variant { return ConventionalVariant(RC) }},
+	{"invisi-sc", func() Variant { return SelectiveVariant(SC) }},
+	{"invisi-tso", func() Variant { return SelectiveVariant(TSO) }},
+	{"invisi-rmo", func() Variant { return SelectiveVariant(RMO) }},
+	{"invisi-rc", func() Variant { return SelectiveVariant(RC) }},
+	{"invisi-sc-2ckpt", func() Variant { return Selective2CkptVariant(SC) }},
+	{"continuous", func() Variant { return ContinuousVariant(false) }},
+	{"continuous-cov", func() Variant { return ContinuousVariant(true) }},
+	{"aso", ASOVariant},
+	{"louvre-rc", LouvreVariant},
+}
+
 // VariantNames lists the CLI/spec names accepted by VariantByName, in
 // canonical order.
 func VariantNames() []string {
-	return []string{
-		"sc", "tso", "rmo", "rc",
-		"invisi-sc", "invisi-tso", "invisi-rmo", "invisi-rc", "invisi-sc-2ckpt",
-		"continuous", "continuous-cov", "aso", "louvre-rc",
+	names := make([]string, len(variantTable))
+	for i, e := range variantTable {
+		names[i] = e.flag
 	}
+	return names
 }
 
-// VariantByName resolves a spec/CLI name ("sc", "invisi-tso",
-// "continuous-cov", ...) to its Variant. Names are case-insensitive.
+// VariantByName resolves a variant by its CLI/spec name ("sc",
+// "invisi-tso", "continuous-cov", ...) or by its Variant.Name ("Invisi_tso",
+// "Invisi_cont_CoV", "Louvre_rc", ...). Names are case-insensitive.
 func VariantByName(name string) (Variant, error) {
-	switch strings.ToLower(name) {
-	case "sc":
-		return ConventionalVariant(SC), nil
-	case "tso":
-		return ConventionalVariant(TSO), nil
-	case "rmo":
-		return ConventionalVariant(RMO), nil
-	case "rc":
-		return ConventionalVariant(RC), nil
-	case "invisi-sc":
-		return SelectiveVariant(SC), nil
-	case "invisi-tso":
-		return SelectiveVariant(TSO), nil
-	case "invisi-rmo":
-		return SelectiveVariant(RMO), nil
-	case "invisi-rc":
-		return SelectiveVariant(RC), nil
-	case "invisi-sc-2ckpt":
-		return Selective2CkptVariant(SC), nil
-	case "continuous":
-		return ContinuousVariant(false), nil
-	case "continuous-cov":
-		return ContinuousVariant(true), nil
-	case "aso":
-		return ASOVariant(), nil
-	case "louvre-rc":
-		return LouvreVariant(), nil
+	for _, e := range variantTable {
+		if v := e.variant(); strings.EqualFold(name, e.flag) || strings.EqualFold(name, v.Name) {
+			return v, nil
+		}
 	}
 	return Variant{}, fmt.Errorf("unknown variant %q (want one of %s)",
 		name, strings.Join(VariantNames(), ", "))

@@ -3,6 +3,7 @@ package invisifence
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,34 @@ func TestVariantByName(t *testing.T) {
 	}
 	if _, err := VariantByName("nope"); err == nil {
 		t.Fatal("expected unknown-variant error")
+	}
+}
+
+// TestVariantNameRoundTrip pins the one vocabulary: every entry resolves by
+// its CLI name and by its Variant.Name (in any case) to the same Variant,
+// and no two entries share a spelling.
+func TestVariantNameRoundTrip(t *testing.T) {
+	seen := map[string]string{}
+	for _, flag := range VariantNames() {
+		v, err := VariantByName(flag)
+		if err != nil {
+			t.Fatalf("%s: %v", flag, err)
+		}
+		for _, name := range []string{v.Name, strings.ToUpper(v.Name), strings.ToLower(v.Name)} {
+			back, err := VariantByName(name)
+			if err != nil {
+				t.Fatalf("%s -> %q: %v", flag, name, err)
+			}
+			if !reflect.DeepEqual(back, v) {
+				t.Errorf("%s -> %q -> %+v, want %+v", flag, name, back, v)
+			}
+		}
+		for _, spelling := range []string{strings.ToLower(flag), strings.ToLower(v.Name)} {
+			if prev, dup := seen[spelling]; dup && prev != flag {
+				t.Errorf("spelling %q names both %s and %s", spelling, prev, flag)
+			}
+			seen[spelling] = flag
+		}
 	}
 }
 
