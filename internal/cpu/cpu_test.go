@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
@@ -320,5 +321,273 @@ func TestROBCapacityStall(t *testing.T) {
 	}, 100_000)
 	if got := c.ArchReg(isa.R3); got != 200 {
 		t.Fatalf("r3 = %d, want 200", got)
+	}
+}
+
+// ------------------------------------------------------- issue semantics
+
+// issueRig drives a core cycle by cycle with manual fill delivery, so the
+// issue-stage tests can observe each entry's state between ticks.
+type issueRig struct {
+	t   *testing.T
+	now uint64
+	fb  *fakeBackend
+	c   *Core
+}
+
+func newIssueRig(t *testing.T, prog *isa.Program, setup func(*fakeBackend)) *issueRig {
+	r := &issueRig{t: t}
+	r.fb = newFake(&r.now)
+	if setup != nil {
+		setup(r.fb)
+	}
+	r.c = New(0, DefaultConfig(), prog, [isa.NumRegs]memtypes.Word{}, r.fb)
+	return r
+}
+
+// tick advances one cycle and returns the pcs (in age order) of the
+// entries that left the dispatched state during it (Halt excluded: it has
+// no execution).
+func (r *issueRig) tick() []int {
+	r.now++
+	was := map[uint64]int{}
+	for i := range r.c.rob {
+		e := &r.c.rob[i]
+		if e.used && e.state == sDispatched && e.in.Op != isa.Halt {
+			was[e.seq] = e.pc
+		}
+	}
+	r.c.Tick(r.now)
+	var left []int
+	for i, s := 0, r.c.head; i < r.c.count; i, s = i+1, (s+1)%len(r.c.rob) {
+		e := &r.c.rob[s]
+		if pc, ok := was[e.seq]; ok && e.state != sDispatched {
+			left = append(left, pc)
+		}
+	}
+	return left
+}
+
+// fill delivers the outstanding miss to block addr.
+func (r *issueRig) fill(addr memtypes.Addr) {
+	for i, p := range r.fb.pending {
+		if memtypes.BlockAddr(p.addr) == memtypes.BlockAddr(addr) {
+			r.fb.pending = append(r.fb.pending[:i], r.fb.pending[i+1:]...)
+			r.c.FillLoad(p.tag, r.fb.mem[p.addr])
+			return
+		}
+	}
+	r.t.Fatalf("no pending fill for %#x", uint64(addr))
+}
+
+// entry returns the live ROB entry at pc.
+func (r *issueRig) entry(pc int) *robEntry {
+	for i := range r.c.rob {
+		if e := &r.c.rob[i]; e.used && e.pc == pc {
+			return e
+		}
+	}
+	r.t.Fatalf("pc %d not in the ROB at cycle %d", pc, r.now)
+	return nil
+}
+
+func TestIssueWindowBound(t *testing.T) {
+	// A miss feeds n dependents that fill the front of the dispatch queue;
+	// an independent MovI sits at queue position n. It issues at once when
+	// n < IssueWindow, and not before the window moves when n == IssueWindow.
+	window := DefaultConfig().IssueWindow
+	for _, n := range []int{window - 1, window} {
+		b := isa.NewBuilder("window")
+		b.MovI(isa.R1, 0x600)
+		b.Ld(isa.R2, isa.R1, 0)
+		for i := 0; i < n; i++ {
+			b.AddI(isa.R3, isa.R2, int64(i))
+		}
+		indep := 2 + n
+		b.MovI(isa.R5, 7)
+		b.Halt()
+		r := newIssueRig(t, b.MustBuild(), func(f *fakeBackend) {
+			f.mem[0x600] = 1
+			f.missAddrs[memtypes.BlockAddr(0x600)] = true
+		})
+		for r.now < 100 {
+			r.tick()
+		}
+		issuedEarly := r.entry(indep).state != sDispatched
+		if want := n < window; issuedEarly != want {
+			t.Fatalf("n=%d: independent op issued before the fill = %v, want %v", n, issuedEarly, want)
+		}
+		if n < window {
+			continue
+		}
+		r.fill(0x600)
+		depAt, indepAt := uint64(0), uint64(0)
+		for indepAt == 0 && r.now < 200 {
+			for _, pc := range r.tick() {
+				switch pc {
+				case 2:
+					depAt = r.now
+				case indep:
+					indepAt = r.now
+				}
+			}
+		}
+		if depAt == 0 || indepAt <= depAt {
+			t.Fatalf("oldest dependent issued at cycle %d, out-of-window op at %d; want it only after the window moved", depAt, indepAt)
+		}
+	}
+}
+
+func TestIssueWidthPortsAndAgeOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cases := []struct {
+		name  string
+		loads bool
+		limit int
+	}{
+		{"alu-width", false, cfg.IssueWidth},
+		{"mem-ports", true, cfg.MemPorts},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Eight ops wait on one miss; after the fill they are all ready
+			// in the same cycle and must drain oldest first, limit per cycle.
+			b := isa.NewBuilder(tc.name)
+			b.MovI(isa.R1, 0x600)
+			b.Ld(isa.R2, isa.R1, 0)
+			for i := 0; i < 8; i++ {
+				if tc.loads {
+					b.Ld(isa.Reg(4+i), isa.R2, int64(i)*memtypes.WordBytes)
+				} else {
+					b.AddI(isa.Reg(4+i), isa.R2, int64(i))
+				}
+			}
+			b.Halt()
+			r := newIssueRig(t, b.MustBuild(), func(f *fakeBackend) {
+				f.mem[0x600] = 0x800
+				f.missAddrs[memtypes.BlockAddr(0x600)] = true
+			})
+			for r.now < 30 {
+				r.tick()
+			}
+			r.fill(0x600)
+			var order []int
+			for len(order) < 8 {
+				left := r.tick()
+				if len(left) > tc.limit {
+					t.Fatalf("cycle %d: %d ops issued, limit %d", r.now, len(left), tc.limit)
+				}
+				if len(order) == 0 && len(left) != 0 && len(left) != tc.limit {
+					t.Fatalf("cycle %d: first issue cycle started %d ops, want %d", r.now, len(left), tc.limit)
+				}
+				order = append(order, left...)
+				if r.now > 100 {
+					t.Fatal("dependents never issued")
+				}
+			}
+			for i, pc := range order {
+				if pc != 2+i {
+					t.Fatalf("issue order %v is not oldest first", order)
+				}
+			}
+		})
+	}
+}
+
+func TestIssueOldestFirstAcrossWakeOrder(t *testing.T) {
+	// Two groups wait on two misses; the younger group's fill arrives first,
+	// in the same inter-cycle gap. Both groups are ready together, and the
+	// older group takes the issue slots.
+	b := isa.NewBuilder("age")
+	b.MovI(isa.R1, 0x600)
+	b.MovI(isa.R6, 0x680)
+	b.Ld(isa.R2, isa.R1, 0)
+	b.Ld(isa.R3, isa.R6, 0)
+	for i := 0; i < 4; i++ {
+		b.AddI(isa.Reg(7+i), isa.R2, int64(i))
+	}
+	for i := 0; i < 4; i++ {
+		b.AddI(isa.Reg(12+i), isa.R3, int64(i))
+	}
+	b.Halt()
+	r := newIssueRig(t, b.MustBuild(), func(f *fakeBackend) {
+		f.missAddrs[memtypes.BlockAddr(0x600)] = true
+		f.missAddrs[memtypes.BlockAddr(0x680)] = true
+	})
+	for r.now < 30 {
+		r.tick()
+	}
+	r.fill(0x680)
+	r.fill(0x600)
+	var first []int
+	for len(first) == 0 && r.now < 100 {
+		first = r.tick()
+	}
+	if len(first) != 4 || first[0] != 4 || first[3] != 7 {
+		t.Fatalf("first issue cycle started pcs %v, want the older group 4..7", first)
+	}
+}
+
+func TestLoadWaitsBehindSameAddressAtomic(t *testing.T) {
+	// A miss at the head keeps an issued Fadd from retiring; a younger load
+	// to the Fadd's word must wait (the old value is unknown until the RMW
+	// performs), asking for a tick every cycle, and issue once it retires.
+	b := isa.NewBuilder("atomic-wait")
+	b.MovI(isa.R1, 0x300)
+	b.MovI(isa.R2, 5)
+	b.MovI(isa.R8, 0x700)
+	b.Ld(isa.R9, isa.R8, 0)
+	b.Fadd(isa.R3, isa.R1, 0, isa.R2)
+	b.Ld(isa.R4, isa.R1, 0)
+	b.Halt()
+	const atomicPC, loadPC = 4, 5
+	r := newIssueRig(t, b.MustBuild(), func(f *fakeBackend) {
+		f.mem[0x300] = 10
+		f.missAddrs[memtypes.BlockAddr(0x700)] = true
+	})
+	for r.now < 40 {
+		r.tick()
+		if r.now < 10 {
+			continue
+		}
+		if !r.entry(atomicPC).addrOK {
+			t.Fatalf("cycle %d: atomic has not generated its address", r.now)
+		}
+		if r.entry(loadPC).state != sDispatched {
+			t.Fatalf("cycle %d: load issued past an unretired same-address atomic", r.now)
+		}
+		if ne := r.c.NextEvent(); ne != r.now+1 {
+			t.Fatalf("cycle %d: NextEvent = %d, want %d (the blocked load retries every cycle)", r.now, ne, r.now+1)
+		}
+	}
+	r.fill(0x700)
+	retiredAt, issuedAt := uint64(0), uint64(0)
+	for (retiredAt == 0 || issuedAt == 0) && r.now < 100 {
+		left := r.tick()
+		if retiredAt == 0 && r.c.RetiredAtomics == 1 {
+			retiredAt = r.now
+		}
+		for _, pc := range left {
+			if pc == loadPC {
+				issuedAt = r.now
+			}
+		}
+	}
+	if retiredAt == 0 || issuedAt != retiredAt {
+		t.Fatalf("atomic retired at cycle %d, load issued at %d; want the load in the retirement cycle's issue", retiredAt, issuedAt)
+	}
+	for !r.c.Halted() && r.now < 200 {
+		r.tick()
+	}
+	if got := r.c.ArchReg(isa.R4); got != 15 {
+		t.Fatalf("r4 = %d, want 15 (the atomic's result)", got)
+	}
+}
+
+func TestROBEntrySize(t *testing.T) {
+	// The ROB dominates a core's construction cost (ROBSize entries per
+	// core per run), so the entry must not grow.
+	if got := unsafe.Sizeof(robEntry{}); got > 240 {
+		t.Fatalf("robEntry is %d bytes, want <= 240", got)
 	}
 }

@@ -1,15 +1,47 @@
 package sim
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"invisifence/internal/consistency"
 	ifcore "invisifence/internal/core"
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
+	"invisifence/internal/stats"
 )
+
+// The random programs are also a timing oracle: they mix replays, atomics,
+// fences and data-dependent branches in ways the workload grid does not, so
+// every seed × engine pins its cycle count, breakdown, speculation counters
+// and per-core recovery counters. Regenerate only for an intentional
+// semantic change:
+//
+//	go test ./internal/sim -run TestRandomProgramsMatchReference -update-timing
+var updateTiming = flag.Bool("update-timing", false, "rewrite testdata/random_timing.json from the current simulator")
+
+// randomTiming is one seed × engine's pinned timing outcome.
+type randomTiming struct {
+	Seed         int64           `json:"seed"`
+	Engine       string          `json:"engine"`
+	Cycles       uint64          `json:"cycles"`
+	Retired      uint64          `json:"retired"`
+	Breakdown    stats.Breakdown `json:"breakdown"`
+	Speculations uint64          `json:"speculations"`
+	Commits      uint64          `json:"commits"`
+	Aborts       uint64          `json:"aborts"`
+	Replays      []uint64        `json:"replays"`     // per core
+	Squashes     []uint64        `json:"squashes"`    // per core
+	Mispredicts  []uint64        `json:"mispredicts"` // per core
+}
+
+func randomTimingPath() string { return filepath.Join("testdata", "random_timing.json") }
 
 // randomProgram emits a random but terminating program: a fixed-trip outer
 // loop over straight-line blocks of ALU ops, loads, stores, and atomics
@@ -86,7 +118,8 @@ func randomProgram(rng *rand.Rand, tid int, region memtypes.Addr) (*isa.Program,
 // exactly the reference interpreter's architectural results — registers and
 // memory — under every consistency implementation, speculative or not.
 // Any mis-speculation that leaks, any lost store, any wrong forwarding
-// breaks the comparison.
+// breaks the comparison. Each run's timing is compared against
+// testdata/random_timing.json as well.
 func TestRandomProgramsMatchReference(t *testing.T) {
 	engines := []struct {
 		name  string
@@ -100,6 +133,7 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 		{"aso", consistency.SC, ifcore.DefaultASO()},
 	}
 	const cores = 4
+	var timings []randomTiming
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		progs := make([]*isa.Program, cores)
@@ -144,6 +178,55 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 					}
 				}
 			}
+			tm := randomTiming{
+				Seed: seed, Engine: e.name,
+				Cycles: res.Cycles, Retired: res.Retired, Breakdown: res.Breakdown,
+				Speculations: res.Speculations, Commits: res.Commits, Aborts: res.Aborts,
+			}
+			for i := 0; i < cores; i++ {
+				c := s.Node(i).Core()
+				tm.Replays = append(tm.Replays, c.Replays)
+				tm.Squashes = append(tm.Squashes, c.Squashes)
+				tm.Mispredicts = append(tm.Mispredicts, c.Mispredicts)
+			}
+			timings = append(timings, tm)
+		}
+	}
+	checkRandomTiming(t, timings)
+}
+
+// checkRandomTiming compares got against the pinned file (or rewrites it
+// under -update-timing).
+func checkRandomTiming(t *testing.T, got []randomTiming) {
+	t.Helper()
+	if *updateTiming {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(randomTimingPath(), append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(randomTimingPath())
+	if err != nil {
+		t.Fatalf("read timing golden (regenerate with -update-timing): %v", err)
+	}
+	var want []randomTiming
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("timing golden has %d runs, want %d (regenerate with -update-timing)", len(want), len(got))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("seed %d/%s: timing diverged from golden:\n got: %+v\nwant: %+v",
+				got[i].Seed, got[i].Engine, got[i], want[i])
 		}
 	}
 }
