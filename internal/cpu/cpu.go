@@ -18,6 +18,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
@@ -137,49 +138,47 @@ const (
 	sDone             // value bound (for atomics: only after retirement action)
 )
 
+// robEntry is one ROB slot. Word-sized fields come first and the flags are
+// packed at the end, so the entry carries no interior padding.
 type robEntry struct {
-	used bool
-	seq  uint64
-	pc   int
-	in   isa.Instr
-
+	seq      uint64
+	pc       int
+	in       isa.Instr
 	predNext int // fetch-time predicted successor pc
-
-	state   uint8
-	doneAt  uint64
-	value   memtypes.Word
-	addr    memtypes.Addr
-	addrOK  bool
-	dataVal memtypes.Word // staged store data
-
-	// Load bookkeeping.
-	valueOK  bool   // value bound (may still be before doneAt)
-	fwdSQ    bool   // value forwarded from an in-flight (in-window) store
-	fwdSeq   uint64 // seq of the forwarding store
-	fromL1   bool   // value came from the memory system (SB/L1/fill)
-	pendFill bool   // waiting for FillLoad
+	doneAt   uint64
+	value    memtypes.Word
+	addr     memtypes.Addr
+	dataVal  memtypes.Word // staged store data
+	fwdSeq   uint64        // load: seq of the forwarding store
 
 	// Operand capture. srcSeq validates srcRef against slot reuse: if the
 	// slot no longer holds that seq, the producer retired and its value is
 	// in the architectural file under srcReg.
 	srcRef [3]int // producer ROB slot or -1
 	srcSeq [3]uint64
-	srcReg [3]isa.Reg
 	opVal  [3]memtypes.Word
-	opOK   [3]bool
 
-	// Issue-readiness memo (valid while wakeGen == Core.opGen): the entry
-	// cannot pass operandsReady before wakeAt, by the same time-based bound
-	// issueEvent computes. Turns the per-cycle issue scan's operand walk
-	// into two compares for entries waiting on known completion times.
-	// A NoEvent bound (producer not yet issued) is additionally versioned
-	// by wakeFlow: any issue anywhere can start such a producer and give
-	// the chain a finite completion time, so those memos expire whenever a
-	// scan issues something. Finite bounds cannot be accelerated by issues
-	// — completion times are fixed at issue — only by the disturb events.
-	wakeAt   uint64
-	wakeGen  uint64
-	wakeFlow uint64
+	// Wakeup links (see wake). As a producer, wakeHead is the newest
+	// consumer operand registered on this entry, encoded slot<<2|k, or -1;
+	// as a consumer, wakeNext[k] chains operand k to the next-older
+	// registration on the same producer. pending counts the operands issue
+	// needs that are still waiting for their producer's wake.
+	wakeHead int32
+	wakeNext [3]int32
+
+	srcReg  [3]isa.Reg
+	opOK    [3]bool
+	pending uint8
+
+	used   bool
+	state  uint8
+	addrOK bool
+
+	// Load bookkeeping.
+	valueOK  bool // value bound (may still be before doneAt)
+	fwdSQ    bool // value forwarded from an in-flight (in-window) store
+	fromL1   bool // value came from the memory system (SB/L1/fill)
+	pendFill bool // waiting for FillLoad
 }
 
 // slotQueue is a FIFO of ROB slot indices with O(1) head removal: a head
@@ -199,13 +198,6 @@ func (q *slotQueue) len() int { return len(q.buf) - q.head }
 func (q *slotQueue) push(s int) { q.buf = append(q.buf, s) }
 
 func (q *slotQueue) reset() { q.buf = q.buf[:0]; q.head = 0 }
-
-// remove deletes the entry at index i of slots().
-func (q *slotQueue) remove(i int) {
-	live := q.buf[q.head:]
-	copy(live[i:], live[i+1:])
-	q.buf = q.buf[:len(q.buf)-1]
-}
 
 // popHead drops the first live entry, compacting once the dead prefix
 // dominates (amortized O(1), bounded memory).
@@ -249,18 +241,16 @@ type Core struct {
 	storeQ slotQueue
 	execQ  []int
 
-	// dispQ holds exactly the not-yet-issued (sDispatched) slots in program
-	// order, so the issue scan touches only candidate entries instead of
-	// walking the whole ROB every cycle. Entries are appended at dispatch,
-	// removed the moment they leave sDispatched (issue, head retirement of
-	// Halt/Fence, squash rebuild).
-	dispQ slotQueue
-	// issueScratch is the reusable per-cycle snapshot the issue scan
-	// iterates, so mid-scan squashes (which rebuild dispQ) cannot invalidate
-	// the iteration.
-	issueScratch []int
+	// Wakeup-driven issue (DESIGN.md §9): dispMask marks the slots still
+	// waiting to issue (sDispatched), readyMask the subset whose operands
+	// are all bound. Both are bitsets over ROB slots, read in age order from
+	// head, so issue visits ready entries only.
+	dispMask, readyMask []uint64
 
-	pred     []uint8 // bimodal 2-bit counters
+	// Bimodal 2-bit counters, stored XOR 2 so that the zeroed allocation
+	// starts every counter weakly taken (which helps tight spin loops
+	// converge fast).
+	pred     []uint8
 	predMask uint32
 
 	// execMin is a conservative lower bound on the earliest doneAt of any
@@ -268,20 +258,6 @@ type Core struct {
 	// recomputes it from survivors, squashes only remove entries). Most
 	// cycles promote is a single compare against it.
 	execMin uint64
-
-	// Issue-horizon cache. A full issue scan that starts nothing proves —
-	// by the same read-only operand analysis Core.NextEvent exposes to the
-	// idle-skip scheduler — that no dispatched entry can become issueable
-	// before issueWake without an outside event (a fill, a squash, a new
-	// dispatch, an atomic retiring a value). Until then the per-cycle scan
-	// (snapshot copy + operand walk over up to IssueWindow entries) is
-	// skipped entirely; every outside event clears the flag (disturbIssue).
-	// Purely a memoization: issue order and results are bit-identical.
-	// opGen versions the per-entry wakeAt memos; disturbIssue bumps it.
-	issueQuiet bool
-	issueWake  uint64
-	opGen      uint64
-	flowGen    uint64 // counts scans that issued; versions NoEvent memos
 
 	// Per-cycle outputs for the node's accounting.
 	RetiredThisCycle int
@@ -298,24 +274,24 @@ func New(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word,
 	if cfg.ROBSize <= 0 {
 		panic("cpu: ROB size must be positive")
 	}
+	words := (cfg.ROBSize + 63) / 64
+	masks := make([]uint64, 2*words)
 	c := &Core{
-		cfg:      cfg,
-		id:       id,
-		prog:     prog,
-		backend:  backend,
-		rob:      make([]robEntry, cfg.ROBSize),
-		pred:     make([]uint8, 1<<cfg.PredictorBits),
-		predMask: uint32(1<<cfg.PredictorBits - 1),
+		cfg:       cfg,
+		id:        id,
+		prog:      prog,
+		backend:   backend,
+		rob:       make([]robEntry, cfg.ROBSize),
+		dispMask:  masks[:words:words],
+		readyMask: masks[words:],
+		pred:      make([]uint8, 1<<cfg.PredictorBits),
+		predMask:  uint32(1<<cfg.PredictorBits - 1),
 	}
 	c.archRegs = regs
 	c.archRegs[isa.R0] = 0
 	c.execMin = memtypes.NoEvent
 	for i := range c.rename {
 		c.rename[i] = -1
-	}
-	// Weakly-taken initial counters help tight spin loops converge fast.
-	for i := range c.pred {
-		c.pred[i] = 2
 	}
 	return c
 }
@@ -366,9 +342,10 @@ func (c *Core) Tick(now uint64) {
 	c.fetch()
 }
 
-// promote marks finished executions done so they can retire this cycle.
-// Only entries on the exec queue (issued with a completion time) are
-// examined; squashed entries are dropped by seq mismatch.
+// promote marks finished executions done so they can retire this cycle,
+// and wakes their consumers so they can issue this cycle. Only entries on
+// the exec queue (issued with a completion time) are examined; squashed
+// entries are dropped by seq mismatch.
 func (c *Core) promote() {
 	if len(c.execQ) == 0 || c.now < c.execMin {
 		return // nothing can have completed yet
@@ -382,6 +359,7 @@ func (c *Core) promote() {
 		}
 		if c.now >= e.doneAt {
 			e.state = sDone
+			c.wake(e)
 			continue
 		}
 		live = append(live, s)
@@ -391,7 +369,9 @@ func (c *Core) promote() {
 	c.execMin = next
 }
 
-// queueExec registers an issued entry for later completion.
+// queueExec registers an issued entry for later completion. The exec queue
+// is also the timed wake queue: the entry's consumers wake when promote
+// reaches its doneAt.
 func (c *Core) queueExec(slot int) {
 	c.execQ = append(c.execQ, slot)
 	if d := c.rob[slot].doneAt; d < c.execMin {
@@ -467,12 +447,23 @@ func (c *Core) retire() {
 			e.state = sDone
 			c.RetiredAtomics++
 			c.commitEntry(e)
+			c.unparkLoads(e.addr)
 		default:
 			if e.state != sDone || c.now < e.doneAt {
 				c.stallAt(StallOther)
 				return
 			}
 			c.commitEntry(e)
+		}
+	}
+}
+
+// unparkLoads makes ready the loads parked behind a retired atomic at addr
+// (issueLoad parks them).
+func (c *Core) unparkLoads(addr memtypes.Addr) {
+	for _, s := range c.loadQ.slots() {
+		if l := &c.rob[s]; l.state == sDispatched && l.addrOK && l.addr == addr {
+			c.readyMask[s>>6] |= 1 << (s & 63)
 		}
 	}
 }
@@ -485,7 +476,9 @@ func (c *Core) stallAt(why StallReason) {
 
 // commitEntry retires the head entry: architectural state update and
 // rename release. In-flight consumers referencing this slot detect the
-// retirement by seq mismatch and read the architectural file instead.
+// retirement by seq mismatch and read the architectural file instead;
+// consumers still registered on it (an atomic's, whose value binds only
+// now) are woken for this cycle's issue.
 func (c *Core) commitEntry(e *robEntry) {
 	slot := c.head
 	in := e.in
@@ -502,13 +495,12 @@ func (c *Core) commitEntry(e *robEntry) {
 		c.storeQ.popHead()
 	}
 	// Halt and Fence can retire straight out of sDispatched (retirement
-	// policy handles them at the head before issue ever sees them); the slot
-	// is the oldest instruction, so if it is still queued it is dispQ[0].
-	if c.dispQ.len() > 0 && c.dispQ.slots()[0] == slot {
-		c.dispQ.popHead()
+	// policy handles them at the head before issue ever sees them).
+	if e.state == sDispatched {
+		c.leaveDisp(slot)
 	}
+	c.wake(e)
 	c.pc = e.predNext // committed successor (mispredicts were squashed at execute)
-	c.disturbIssue()  // an atomic's value binds at retirement; the window moves
 	e.used = false
 	c.head = (c.head + 1) % c.cfg.ROBSize
 	c.count--
@@ -520,52 +512,31 @@ func (c *Core) commitEntry(e *robEntry) {
 // ----------------------------------------------------------------- issue
 
 func (c *Core) issue() {
-	if c.dispQ.len() == 0 {
+	s := c.nextSet(c.readyMask, 0)
+	if s < 0 {
 		return
 	}
-	if c.issueQuiet && c.now < c.issueWake {
-		return
-	}
-	c.issueQuiet = false
 	issued := 0
 	memIssued := 0
-	window := c.cfg.IssueWindow
-	if window <= 0 {
-		window = c.cfg.ROBSize
-	}
-	examined := 0
-	// Iterate a snapshot: mid-scan squashes (replays, mispredicts) rebuild
-	// dispQ, but squashed slots cannot be reused until fetch runs, so stale
-	// snapshot entries are safely skipped by the used/state check.
-	scratch := append(c.issueScratch[:0], c.dispQ.slots()...)
-	c.issueScratch = scratch
-	for _, s := range scratch {
+	// left counts the entries that left the dispatched set during this scan;
+	// all are older than the current one, so an entry's position in the
+	// dispatched order as the scan started is the dispatched entries still
+	// older than it plus left.
+	left := 0
+	window := c.issueWindow()
+	for ; s >= 0 && issued < c.cfg.IssueWidth; s = c.nextSet(c.readyMask, c.slotAge(s)+1) {
+		if age := c.slotAge(s); age >= window && c.countSet(c.dispMask, age)+left >= window {
+			break // outside the issue window
+		}
 		e := &c.rob[s]
-		if !e.used || e.state != sDispatched {
-			continue // squashed during this scan
-		}
-		if issued >= c.cfg.IssueWidth || examined >= window {
-			break
-		}
-		examined++
-		if e.wakeGen == c.opGen && c.now < e.wakeAt &&
-			(e.wakeAt != memtypes.NoEvent || e.wakeFlow == c.flowGen) {
-			continue // memoized: cannot become ready this cycle
-		}
-		ready, wake := c.examineEntry(e)
-		if !ready {
-			e.wakeAt = wake
-			e.wakeGen = c.opGen
-			e.wakeFlow = c.flowGen
-			continue
-		}
 		in := e.in
 		switch {
 		case in.Op == isa.Halt || in.Op == isa.Fence:
 			// No execution; retirement policy handles them at the head.
 			e.state = sDone
 			e.doneAt = c.now
-			c.removeDisp(s)
+			c.leaveDisp(s)
+			left++
 		case in.Op.IsLoad():
 			if memIssued >= c.cfg.MemPorts {
 				continue
@@ -575,7 +546,8 @@ func (c *Core) issue() {
 				issued++
 			}
 			if e.state != sDispatched {
-				c.removeDisp(s)
+				c.leaveDisp(s)
+				left++
 			}
 		case in.Op.IsStore():
 			e.addr = memtypes.WordAlign(memtypes.Addr(e.opVal[0]) + memtypes.Addr(in.Imm))
@@ -584,7 +556,8 @@ func (c *Core) issue() {
 			e.state = sDone
 			e.doneAt = c.now
 			issued++
-			c.removeDisp(s)
+			c.leaveDisp(s)
+			left++
 			c.checkStoreConflicts(s, e)
 		case in.Op.IsAtomic():
 			// Address generation only; the RMW happens at retirement.
@@ -593,79 +566,128 @@ func (c *Core) issue() {
 			e.state = sIssued
 			e.doneAt = c.now
 			issued++
-			c.removeDisp(s)
+			c.leaveDisp(s)
+			left++
 			c.checkStoreConflicts(s, e)
 		case in.Op.IsBranch():
-			c.removeDisp(s)
+			c.leaveDisp(s)
 			mispredicted := c.executeBranch(s, e)
 			issued++
 			if mispredicted {
 				// Younger entries are gone; stop the scan.
 				return
 			}
+			left++
 		default:
 			e.value = evalALU(in, e.opVal[0], e.opVal[1])
 			e.state = sIssued
 			e.doneAt = c.now + in.Op.Latency(in.Imm)
 			c.queueExec(s)
 			issued++
-			c.removeDisp(s)
+			c.leaveDisp(s)
+			left++
 		}
-	}
-	if issued == 0 {
-		// Nothing started (so no port was consumed and no entry changed
-		// state except Halt/Fence leaving the queue): cache the earliest
-		// cycle the remaining window could become ready.
-		c.issueQuiet, c.issueWake = true, c.dispHorizon()
-	} else {
-		c.flowGen++ // a started producer may un-block NoEvent memos
 	}
 }
 
-// dispHorizon returns the earliest cycle any dispatched entry within the
-// issue window could pass operandsReady (NextEvent's dispatch-queue term).
-func (c *Core) dispHorizon() uint64 {
-	window := c.cfg.IssueWindow
-	if window <= 0 {
-		window = c.cfg.ROBSize
+// issueWindow is how many dispatched entries, oldest first, issue may
+// consider in one cycle.
+func (c *Core) issueWindow() int {
+	if c.cfg.IssueWindow <= 0 {
+		return c.cfg.ROBSize
 	}
-	next := uint64(memtypes.NoEvent)
-	for i, s := range c.dispQ.slots() {
-		if i >= window {
-			break
-		}
+	return c.cfg.IssueWindow
+}
+
+// inWindow reports whether slot s is among the first IssueWindow dispatched
+// entries.
+func (c *Core) inWindow(s int) bool {
+	window := c.issueWindow()
+	age := c.slotAge(s)
+	return age < window || c.countSet(c.dispMask, age) < window
+}
+
+// leaveDisp drops a slot from the dispatched and ready sets the moment it
+// leaves sDispatched.
+func (c *Core) leaveDisp(s int) {
+	bit := uint64(1) << (s & 63)
+	c.dispMask[s>>6] &^= bit
+	c.readyMask[s>>6] &^= bit
+}
+
+// wake delivers a completed producer's value to every consumer operand
+// registered on it; a consumer whose last pending operand this was becomes
+// ready. Producers complete in promote (ALU ops and loads, at the doneAt
+// fixed when they issued or filled) or at retirement (atomics), both before
+// issue runs in that cycle, so a woken consumer can issue in the same cycle
+// its old-style operand check would first have passed. Nothing wakes
+// during an issue scan: an entry issued there completes at the earliest in
+// the next cycle's promote.
+func (c *Core) wake(p *robEntry) {
+	for l := p.wakeHead; l >= 0; {
+		s, k := int(l>>2), l&3
 		e := &c.rob[s]
-		if e.wakeGen == c.opGen &&
-			(e.wakeAt != memtypes.NoEvent || e.wakeFlow == c.flowGen) {
-			// A memoized bound may be conservatively early (never late) —
-			// exactly the NextEvent contract — but it may also sit in the
-			// past when a width-limited scan broke before refreshing it;
-			// clamp to the future (NoEvent saturates).
-			next = min(next, max(c.now+1, e.wakeAt))
-			continue
-		}
-		next = min(next, c.issueEvent(e))
-	}
-	return next
-}
-
-// disturbIssue invalidates the issue-horizon cache and every per-entry
-// readiness memo: an event outside the scan's time-based operand analysis
-// may have made an entry ready.
-func (c *Core) disturbIssue() {
-	c.issueQuiet = false
-	c.opGen++
-}
-
-// removeDisp removes a slot from the dispatched queue the moment it leaves
-// sDispatched. Issued slots sit near the front, so the scan is short.
-func (c *Core) removeDisp(slot int) {
-	for i, s := range c.dispQ.slots() {
-		if s == slot {
-			c.dispQ.remove(i)
-			return
+		l = e.wakeNext[k]
+		e.opVal[k] = p.value
+		e.opOK[k] = true
+		e.srcRef[k] = -1
+		if e.pending--; e.pending == 0 {
+			c.readyMask[s>>6] |= 1 << (s & 63)
 		}
 	}
+	p.wakeHead = -1
+}
+
+// nextSet returns the oldest slot of age >= a whose bit is set in m (a
+// bitset over ROB slots with bits only on live entries), or -1.
+func (c *Core) nextSet(m []uint64, a int) int {
+	n := len(c.rob)
+	s := c.head + a
+	if s < n {
+		if r := firstSet(m, s, n); r >= 0 {
+			return r
+		}
+		s = n
+	}
+	return firstSet(m, s-n, c.head)
+}
+
+// countSet returns how many of the a oldest live slots have their bit set
+// in m.
+func (c *Core) countSet(m []uint64, a int) int {
+	n := len(c.rob)
+	if s := c.head + a; s > n {
+		return countRange(m, c.head, n) + countRange(m, 0, s-n)
+	}
+	return countRange(m, c.head, c.head+a)
+}
+
+// firstSet returns the lowest set bit index in [lo, hi), or -1.
+func firstSet(m []uint64, lo, hi int) int {
+	for lo < hi {
+		if w := m[lo>>6] >> (lo & 63); w != 0 {
+			if s := lo + bits.TrailingZeros64(w); s < hi {
+				return s
+			}
+			return -1
+		}
+		lo = (lo | 63) + 1
+	}
+	return -1
+}
+
+// countRange returns the number of set bits with index in [lo, hi).
+func countRange(m []uint64, lo, hi int) int {
+	n := 0
+	for lo < hi {
+		w := m[lo>>6] >> (lo & 63)
+		if span := hi - lo; span < 64-(lo&63) {
+			w &= 1<<span - 1
+		}
+		n += bits.OnesCount64(w)
+		lo = (lo | 63) + 1
+	}
+	return n
 }
 
 // captureOps lazily captures operands whose producers completed after this
@@ -682,93 +704,24 @@ func (c *Core) captureOps(e *robEntry) {
 // mismatch after slot reuse, or slot freed): then the architectural file
 // holds its value — any in-flight intervening writer of the same register
 // would have been the rename source instead.
-func (c *Core) captureOp(e *robEntry, k int) bool {
+func (c *Core) captureOp(e *robEntry, k int) {
 	p := e.srcRef[k]
 	if p < 0 {
 		e.opOK[k] = true
-		return true
+		return
 	}
 	pe := &c.rob[p]
 	if !pe.used || pe.seq != e.srcSeq[k] {
 		e.opVal[k] = c.archRegs[e.srcReg[k]]
 		e.opOK[k] = true
 		e.srcRef[k] = -1
-		return true
+		return
 	}
 	if pe.state == sDone && c.now >= pe.doneAt {
 		e.opVal[k] = pe.value
 		e.opOK[k] = true
 		e.srcRef[k] = -1
-		return true
 	}
-	return false
-}
-
-// examineEntry captures any newly available operands and reports readiness
-// — and, when the entry is not ready, the earliest cycle it could become so
-// (issueEvent's bound), computed in the same walk instead of a second one.
-func (c *Core) examineEntry(e *robEntry) (bool, uint64) {
-	var ok [3]bool
-	var b [3]uint64
-	for k := 0; k < 3; k++ {
-		ok[k], b[k] = c.captureOpBound(e, k)
-	}
-	// Loads and atomics only need rs1 (+rs2/rs3 for retirement, captured
-	// separately); address generation can proceed on rs1 alone.
-	if e.in.Op.IsLoad() || e.in.Op.IsAtomic() {
-		if ok[0] {
-			return true, 0
-		}
-		return false, max(c.now+1, b[0]) // saturates at NoEvent
-	}
-	if ok[0] && ok[1] && ok[2] {
-		return true, 0
-	}
-	t := c.now + 1
-	for k := 0; k < 3; k++ {
-		if ok[k] {
-			continue
-		}
-		if b[k] == memtypes.NoEvent {
-			return false, memtypes.NoEvent
-		}
-		t = max(t, b[k])
-	}
-	return false, t
-}
-
-// captureOpBound is captureOp fused with operandReadyAt: it binds operand k
-// if possible, and otherwise reports when binding could next succeed.
-func (c *Core) captureOpBound(e *robEntry, k int) (bool, uint64) {
-	if e.opOK[k] {
-		return true, 0
-	}
-	p := e.srcRef[k]
-	if p < 0 {
-		e.opOK[k] = true
-		return true, 0
-	}
-	pe := &c.rob[p]
-	if !pe.used || pe.seq != e.srcSeq[k] {
-		e.opVal[k] = c.archRegs[e.srcReg[k]]
-		e.opOK[k] = true
-		e.srcRef[k] = -1
-		return true, 0
-	}
-	switch {
-	case pe.state == sDone:
-		if c.now >= pe.doneAt {
-			e.opVal[k] = pe.value
-			e.opOK[k] = true
-			e.srcRef[k] = -1
-			return true, 0
-		}
-		return false, pe.doneAt
-	case pe.state == sIssued && !pe.pendFill && !pe.in.Op.IsAtomic():
-		// Will be promoted to sDone at doneAt, before issue runs that cycle.
-		return false, max(c.now+1, pe.doneAt)
-	}
-	return false, memtypes.NoEvent
 }
 
 // issueLoad computes the address, searches older in-flight stores, and
@@ -799,7 +752,12 @@ func (c *Core) issueLoad(slot int, e *robEntry) bool {
 			c.queueExec(slot)
 			return true
 		}
-		// The atomic's result is unknown until it retires: wait.
+		// The atomic's result is unknown until it retires: wait, parked
+		// outside the ready set. Nothing changes this search's outcome
+		// until the atomic retires or a store or atomic between the two
+		// resolves to this word; both make the load ready again
+		// (unparkLoads, checkStoreConflicts).
+		c.readyMask[slot>>6] &^= 1 << (slot & 63)
 		return false
 	}
 	// Optimistic past unknown-address stores; the store-side conflict check
@@ -828,13 +786,19 @@ func (c *Core) issueLoad(slot int, e *robEntry) bool {
 // checkStoreConflicts implements optimistic disambiguation: when a store or
 // atomic computes its address, the oldest younger load that executed with a
 // value not forwarded from it and that overlaps its word is replayed.
+// A younger load parked on this word now stops its store search here
+// instead, so it is made ready again.
 func (c *Core) checkStoreConflicts(slot int, st *robEntry) {
 	for _, s := range c.loadQ.slots() {
 		l := &c.rob[s]
-		if l.seq <= st.seq {
+		if l.seq <= st.seq || !l.addrOK || l.addr != st.addr {
 			continue
 		}
-		if l.valueOK && l.addrOK && l.addr == st.addr && l.fwdSeq != st.seq {
+		if l.state == sDispatched {
+			c.readyMask[s>>6] |= 1 << (s & 63)
+			continue
+		}
+		if l.valueOK && l.fwdSeq != st.seq {
 			c.Replays++
 			c.squashFrom(s)
 			return
@@ -920,9 +884,9 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	// Field-wise reset instead of *e = robEntry{...}: the composite literal
 	// zeroes and copies the whole ~200-byte entry per dispatched instruction,
 	// which profiled as the core's single hottest line. Every field read
-	// before being written is reset here; opVal/srcSeq/srcReg slots are only
-	// read under opOK[k]==false with srcRef[k] >= 0 (both set by bind) or
-	// after bind wrote the value, so their stale contents are dead.
+	// before being written is reset here; opVal/srcSeq/srcReg/wakeNext slots
+	// are only read under opOK[k]==false with srcRef[k] >= 0 (both set by
+	// bind) or after bind wrote the value, so their stale contents are dead.
 	e.used = true
 	e.seq = c.nextSeq
 	e.pc = pc
@@ -939,7 +903,12 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	e.fwdSeq = 0
 	e.fromL1 = false
 	e.pendFill = false
-	e.wakeGen = 0 // memo invalid until the first scan
+	e.wakeHead = -1
+	e.pending = 0
+	// Issue needs every source except for loads and atomics, whose address
+	// generation needs rs1 only (an atomic's data operands bind at
+	// retirement, by captureOps).
+	addrOnly := in.Op.IsLoad() || in.Op.IsAtomic()
 	for k := 0; k < 3; k++ {
 		e.srcRef[k] = -1
 		e.opOK[k] = true
@@ -961,6 +930,12 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 				e.srcSeq[k] = pe.seq
 				e.srcReg[k] = r
 				e.opOK[k] = false
+				if k == 0 || !addrOnly {
+					// Register on the producer; its wake binds the value.
+					e.wakeNext[k] = pe.wakeHead
+					pe.wakeHead = int32(slot<<2 | k)
+					e.pending++
+				}
 			}
 		} else {
 			e.opVal[k] = c.archRegs[r]
@@ -980,9 +955,6 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 		bind(0, in.Rs1)
 		bind(1, in.Rs2)
 	}
-	if in.Op == isa.MovI {
-		e.opOK[0] = true
-	}
 	if in.Op.WritesRd() && in.Rd != isa.R0 {
 		c.rename[in.Rd] = slot
 	}
@@ -991,8 +963,11 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	} else if in.Op.IsStore() || in.Op.IsAtomic() {
 		c.storeQ.push(slot)
 	}
-	c.dispQ.push(slot)
-	c.disturbIssue()
+	bit := uint64(1) << (slot & 63)
+	c.dispMask[slot>>6] |= bit
+	if e.pending == 0 {
+		c.readyMask[slot>>6] |= bit
+	}
 	c.tail = (c.tail + 1) % c.cfg.ROBSize
 	c.count++
 }
@@ -1019,7 +994,6 @@ func (c *Core) squashSlots(slot int) {
 	c.count = n
 	c.tail = slot
 	c.Squashes++
-	c.disturbIssue()
 	c.rebuildRename()
 }
 
@@ -1040,12 +1014,12 @@ func (c *Core) FlushAll(regs [isa.NumRegs]memtypes.Word, pc int) {
 	c.halted = false
 	c.stallTil = c.now + c.cfg.RedirectPenalty
 	c.Squashes++
-	c.disturbIssue()
 	c.rebuildRename()
 }
 
-// rebuildRename reconstructs the rename table and the load/store/exec
-// queues from the surviving ROB entries after a squash.
+// rebuildRename reconstructs the rename table, the load/store/exec queues
+// and the dispatched/ready sets from the surviving ROB entries after a
+// squash, and unlinks squashed consumers from the survivors' wake lists.
 func (c *Core) rebuildRename() {
 	for i := range c.rename {
 		c.rename[i] = -1
@@ -1053,9 +1027,15 @@ func (c *Core) rebuildRename() {
 	c.loadQ.reset()
 	c.storeQ.reset()
 	c.execQ = c.execQ[:0]
-	c.dispQ.reset()
+	clear(c.dispMask)
+	clear(c.readyMask)
 	for i, s := 0, c.head; i < c.count; i, s = i+1, (s+1)%c.cfg.ROBSize {
 		e := &c.rob[s]
+		// Wake lists run newest first and a squash removes the youngest
+		// entries, so squashed consumers form a prefix of each list.
+		for l := e.wakeHead; l >= 0 && !c.rob[l>>2].used; l = e.wakeHead {
+			e.wakeHead = c.rob[l>>2].wakeNext[l&3]
+		}
 		if e.in.Op.WritesRd() && e.in.Rd != isa.R0 {
 			c.rename[e.in.Rd] = s
 		}
@@ -1071,7 +1051,11 @@ func (c *Core) rebuildRename() {
 			}
 		}
 		if e.state == sDispatched {
-			c.dispQ.push(s)
+			bit := uint64(1) << (s & 63)
+			c.dispMask[s>>6] |= bit
+			if e.pending == 0 {
+				c.readyMask[s>>6] |= bit
+			}
 		}
 	}
 }
@@ -1089,7 +1073,6 @@ func (c *Core) FillLoad(tag uint64, val memtypes.Word) {
 			e.valueOK = true
 			e.doneAt = c.now + 1
 			c.queueExec(s)
-			c.disturbIssue()
 			return
 		}
 	}
@@ -1145,14 +1128,16 @@ func (c *Core) NextEvent() uint64 {
 	if len(c.execQ) > 0 {
 		next = min(next, max(c.now+1, c.execMin))
 	}
-	// Dispatched entries become issueable when their operands arrive (only
-	// the first IssueWindow queue entries can be examined by the scan, so
-	// later ones cannot generate an event before the queue moves). A valid
-	// issue-horizon cache is exactly this term, already computed.
-	if c.issueQuiet {
-		next = min(next, max(c.now+1, c.issueWake))
-	} else {
-		next = min(next, c.dispHorizon())
+	// Issue. A dispatched entry becomes ready only when a wake delivers its
+	// last operand: a promote (bounded by the exec-queue term above) or an
+	// atomic's retirement (the node's head horizon); a parked load, only at
+	// such a retirement or by an issue. A ready entry inside the window
+	// issues (or retries, for a load short of a port or an MSHR) next
+	// cycle; one outside it waits for the window to move, which takes an
+	// issue or a retirement. The ready set is age-ordered, so the oldest
+	// ready entry decides.
+	if s := c.nextSet(c.readyMask, 0); s >= 0 && c.inWindow(s) {
+		next = min(next, c.now+1)
 	}
 	return next
 }
@@ -1209,7 +1194,7 @@ func (c *Core) HeadState() HeadState {
 			hs.ReadyAt = max(c.now+1, e.doneAt)
 			hs.Ready = hs.ReadyAt == c.now+1
 		default:
-			// Not issued yet; the dispatch-queue scan owns this event.
+			// Not issued yet; the issue term of NextEvent owns this event.
 			hs.ReadyAt = memtypes.NoEvent
 		}
 	}
@@ -1263,29 +1248,12 @@ func (c *Core) operandReadyAt(e *robEntry, k int) uint64 {
 	return memtypes.NoEvent
 }
 
-// issueEvent returns the earliest cycle the dispatched entry could pass
-// operandsReady, mirroring its per-class requirements read-only.
-func (c *Core) issueEvent(e *robEntry) uint64 {
-	if e.in.Op.IsLoad() || e.in.Op.IsAtomic() {
-		return c.operandReadyAt(e, 0) // address generation needs rs1 only
-	}
-	t := c.now + 1
-	for k := 0; k < 3; k++ {
-		tk := c.operandReadyAt(e, k)
-		if tk == memtypes.NoEvent {
-			return memtypes.NoEvent
-		}
-		t = max(t, tk)
-	}
-	return t
-}
-
 // retireAtomicEvent returns the earliest cycle an atomic at the head could
 // pass its retirement readiness check (address generated, data operands
 // bound), after which the backend is probed every cycle.
 func (c *Core) retireAtomicEvent(e *robEntry) uint64 {
 	if !e.addrOK {
-		return memtypes.NoEvent // not issued yet; the dispQ scan covers it
+		return memtypes.NoEvent // not issued yet; NextEvent's issue term covers it
 	}
 	t := c.operandReadyAt(e, 1)
 	if t == memtypes.NoEvent {
@@ -1326,17 +1294,19 @@ func (c *Core) SkipCycles(k uint64) {
 
 func (c *Core) predIndex(pc int) uint32 { return uint32(pc) & c.predMask }
 
-func (c *Core) predictTaken(pc int) bool { return c.pred[c.predIndex(pc)] >= 2 }
+// predictTaken and updatePredictor read and write counters XOR 2 (see
+// Core.pred): a stored 0 is the counter value 2.
+func (c *Core) predictTaken(pc int) bool { return c.pred[c.predIndex(pc)]^2 >= 2 }
 
 func (c *Core) updatePredictor(pc int, taken bool) {
 	i := c.predIndex(pc)
-	v := c.pred[i]
+	v := c.pred[i] ^ 2
 	if taken {
 		if v < 3 {
-			c.pred[i] = v + 1
+			c.pred[i] = (v + 1) ^ 2
 		}
 	} else if v > 0 {
-		c.pred[i] = v - 1
+		c.pred[i] = (v - 1) ^ 2
 	}
 }
 
