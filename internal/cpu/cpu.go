@@ -463,7 +463,7 @@ func (c *Core) retire() {
 func (c *Core) unparkLoads(addr memtypes.Addr) {
 	for _, s := range c.loadQ.slots() {
 		if l := &c.rob[s]; l.state == sDispatched && l.addrOK && l.addr == addr {
-			c.readyMask[s>>6] |= 1 << (s & 63)
+			setBit(c.readyMask, s)
 		}
 	}
 }
@@ -523,10 +523,9 @@ func (c *Core) issue() {
 	// dispatched order as the scan started is the dispatched entries still
 	// older than it plus left.
 	left := 0
-	window := c.issueWindow()
 	for ; s >= 0 && issued < c.cfg.IssueWidth; s = c.nextSet(c.readyMask, c.slotAge(s)+1) {
-		if age := c.slotAge(s); age >= window && c.countSet(c.dispMask, age)+left >= window {
-			break // outside the issue window
+		if !c.inWindow(s, left) {
+			break
 		}
 		e := &c.rob[s]
 		in := e.in
@@ -535,8 +534,6 @@ func (c *Core) issue() {
 			// No execution; retirement policy handles them at the head.
 			e.state = sDone
 			e.doneAt = c.now
-			c.leaveDisp(s)
-			left++
 		case in.Op.IsLoad():
 			if memIssued >= c.cfg.MemPorts {
 				continue
@@ -545,10 +542,6 @@ func (c *Core) issue() {
 				memIssued++
 				issued++
 			}
-			if e.state != sDispatched {
-				c.leaveDisp(s)
-				left++
-			}
 		case in.Op.IsStore():
 			e.addr = memtypes.WordAlign(memtypes.Addr(e.opVal[0]) + memtypes.Addr(in.Imm))
 			e.addrOK = true
@@ -556,8 +549,6 @@ func (c *Core) issue() {
 			e.state = sDone
 			e.doneAt = c.now
 			issued++
-			c.leaveDisp(s)
-			left++
 			c.checkStoreConflicts(s, e)
 		case in.Op.IsAtomic():
 			// Address generation only; the RMW happens at retirement.
@@ -566,53 +557,58 @@ func (c *Core) issue() {
 			e.state = sIssued
 			e.doneAt = c.now
 			issued++
-			c.leaveDisp(s)
-			left++
 			c.checkStoreConflicts(s, e)
 		case in.Op.IsBranch():
-			c.leaveDisp(s)
-			mispredicted := c.executeBranch(s, e)
 			issued++
-			if mispredicted {
-				// Younger entries are gone; stop the scan.
+			if c.executeBranch(s, e) {
+				// Mispredicted: younger entries are gone; stop the scan.
+				c.leaveDisp(s)
 				return
 			}
-			left++
 		default:
 			e.value = evalALU(in, e.opVal[0], e.opVal[1])
 			e.state = sIssued
 			e.doneAt = c.now + in.Op.Latency(in.Imm)
 			c.queueExec(s)
 			issued++
+		}
+		// A load that stays dispatched (no port, LoadRetry, parked) keeps
+		// its place. After a replay squash the rebuilt sets already exclude
+		// this entry, but it still left during this scan.
+		if e.state != sDispatched {
 			c.leaveDisp(s)
 			left++
 		}
 	}
 }
 
-// issueWindow is how many dispatched entries, oldest first, issue may
-// consider in one cycle.
-func (c *Core) issueWindow() int {
-	if c.cfg.IssueWindow <= 0 {
-		return c.cfg.ROBSize
+// inWindow reports whether the dispatched slot s is among the first
+// IssueWindow dispatched entries, counting as dispatched the left older
+// entries that issued earlier in the current scan. Its age bounds its
+// position from above, which settles most entries without a count.
+func (c *Core) inWindow(s, left int) bool {
+	window := c.cfg.IssueWindow
+	if window <= 0 {
+		window = c.cfg.ROBSize
 	}
-	return c.cfg.IssueWindow
-}
-
-// inWindow reports whether slot s is among the first IssueWindow dispatched
-// entries.
-func (c *Core) inWindow(s int) bool {
-	window := c.issueWindow()
 	age := c.slotAge(s)
-	return age < window || c.countSet(c.dispMask, age) < window
+	return age < window || c.countSet(c.dispMask, age)+left < window
 }
 
 // leaveDisp drops a slot from the dispatched and ready sets the moment it
 // leaves sDispatched.
 func (c *Core) leaveDisp(s int) {
-	bit := uint64(1) << (s & 63)
-	c.dispMask[s>>6] &^= bit
-	c.readyMask[s>>6] &^= bit
+	clearBit(c.dispMask, s)
+	clearBit(c.readyMask, s)
+}
+
+// enterDisp adds a slot in sDispatched to the dispatched set, and to the
+// ready set when no operand it needs is pending.
+func (c *Core) enterDisp(s int) {
+	setBit(c.dispMask, s)
+	if c.rob[s].pending == 0 {
+		setBit(c.readyMask, s)
+	}
 }
 
 // wake delivers a completed producer's value to every consumer operand
@@ -632,7 +628,7 @@ func (c *Core) wake(p *robEntry) {
 		e.opOK[k] = true
 		e.srcRef[k] = -1
 		if e.pending--; e.pending == 0 {
-			c.readyMask[s>>6] |= 1 << (s & 63)
+			setBit(c.readyMask, s)
 		}
 	}
 	p.wakeHead = -1
@@ -661,6 +657,9 @@ func (c *Core) countSet(m []uint64, a int) int {
 	}
 	return countRange(m, c.head, c.head+a)
 }
+
+func setBit(m []uint64, i int)   { m[i>>6] |= 1 << (i & 63) }
+func clearBit(m []uint64, i int) { m[i>>6] &^= 1 << (i & 63) }
 
 // firstSet returns the lowest set bit index in [lo, hi), or -1.
 func firstSet(m []uint64, lo, hi int) int {
@@ -704,24 +703,26 @@ func (c *Core) captureOps(e *robEntry) {
 // mismatch after slot reuse, or slot freed): then the architectural file
 // holds its value — any in-flight intervening writer of the same register
 // would have been the rename source instead.
-func (c *Core) captureOp(e *robEntry, k int) {
+func (c *Core) captureOp(e *robEntry, k int) bool {
 	p := e.srcRef[k]
 	if p < 0 {
 		e.opOK[k] = true
-		return
+		return true
 	}
 	pe := &c.rob[p]
 	if !pe.used || pe.seq != e.srcSeq[k] {
 		e.opVal[k] = c.archRegs[e.srcReg[k]]
 		e.opOK[k] = true
 		e.srcRef[k] = -1
-		return
+		return true
 	}
 	if pe.state == sDone && c.now >= pe.doneAt {
 		e.opVal[k] = pe.value
 		e.opOK[k] = true
 		e.srcRef[k] = -1
+		return true
 	}
+	return false
 }
 
 // issueLoad computes the address, searches older in-flight stores, and
@@ -757,7 +758,7 @@ func (c *Core) issueLoad(slot int, e *robEntry) bool {
 		// until the atomic retires or a store or atomic between the two
 		// resolves to this word; both make the load ready again
 		// (unparkLoads, checkStoreConflicts).
-		c.readyMask[slot>>6] &^= 1 << (slot & 63)
+		clearBit(c.readyMask, slot)
 		return false
 	}
 	// Optimistic past unknown-address stores; the store-side conflict check
@@ -795,7 +796,7 @@ func (c *Core) checkStoreConflicts(slot int, st *robEntry) {
 			continue
 		}
 		if l.state == sDispatched {
-			c.readyMask[s>>6] |= 1 << (s & 63)
+			setBit(c.readyMask, s)
 			continue
 		}
 		if l.valueOK && l.fwdSeq != st.seq {
@@ -963,11 +964,7 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	} else if in.Op.IsStore() || in.Op.IsAtomic() {
 		c.storeQ.push(slot)
 	}
-	bit := uint64(1) << (slot & 63)
-	c.dispMask[slot>>6] |= bit
-	if e.pending == 0 {
-		c.readyMask[slot>>6] |= bit
-	}
+	c.enterDisp(slot)
 	c.tail = (c.tail + 1) % c.cfg.ROBSize
 	c.count++
 }
@@ -1051,11 +1048,7 @@ func (c *Core) rebuildRename() {
 			}
 		}
 		if e.state == sDispatched {
-			bit := uint64(1) << (s & 63)
-			c.dispMask[s>>6] |= bit
-			if e.pending == 0 {
-				c.readyMask[s>>6] |= bit
-			}
+			c.enterDisp(s)
 		}
 	}
 }
@@ -1136,7 +1129,7 @@ func (c *Core) NextEvent() uint64 {
 	// cycle; one outside it waits for the window to move, which takes an
 	// issue or a retirement. The ready set is age-ordered, so the oldest
 	// ready entry decides.
-	if s := c.nextSet(c.readyMask, 0); s >= 0 && c.inWindow(s) {
+	if s := c.nextSet(c.readyMask, 0); s >= 0 && c.inWindow(s, 0) {
 		next = min(next, c.now+1)
 	}
 	return next

@@ -628,3 +628,105 @@ func TestPredictorTwoBit(t *testing.T) {
 		t.Fatal("updates leaked into a neighbouring counter")
 	}
 }
+
+func TestIssueWindowFixedAtScanStart(t *testing.T) {
+	// Dispatch queue: 3 dependents of miss A, window-3 dependents of miss
+	// B, then an independent MovI at position window. When A fills, the 3
+	// A-dependents issue; the window is the queue as the scan started, so
+	// the MovI still waits one cycle although issue width is left.
+	window := DefaultConfig().IssueWindow
+	b := isa.NewBuilder("window-scan")
+	b.MovI(isa.R1, 0x600)
+	b.MovI(isa.R6, 0x680)
+	b.Ld(isa.R2, isa.R1, 0)
+	b.Ld(isa.R3, isa.R6, 0)
+	for i := 0; i < 3; i++ {
+		b.AddI(isa.R7, isa.R2, int64(i))
+	}
+	for i := 0; i < window-3; i++ {
+		b.AddI(isa.R8, isa.R3, int64(i))
+	}
+	indep := 4 + window
+	b.MovI(isa.R5, 7)
+	b.Halt()
+	r := newIssueRig(t, b.MustBuild(), func(f *fakeBackend) {
+		f.missAddrs[memtypes.BlockAddr(0x600)] = true
+		f.missAddrs[memtypes.BlockAddr(0x680)] = true
+	})
+	for r.now < 60 {
+		r.tick()
+	}
+	if r.entry(indep).state != sDispatched {
+		t.Fatal("out-of-window op issued before any fill")
+	}
+	r.fill(0x600)
+	depAt, indepAt := uint64(0), uint64(0)
+	for indepAt == 0 && r.now < 100 {
+		for _, pc := range r.tick() {
+			switch pc {
+			case 4:
+				depAt = r.now
+			case indep:
+				indepAt = r.now
+			}
+		}
+	}
+	if depAt == 0 || indepAt != depAt+1 {
+		t.Fatalf("A-dependents issued at cycle %d, the out-of-window op at %d; want it one cycle later", depAt, indepAt)
+	}
+}
+
+func TestParkedLoadForwardsFromResolvedStore(t *testing.T) {
+	// A load waits behind an older same-address Fadd that cannot retire (a
+	// miss holds the head). A store between the two then resolves to the
+	// same word: the load's store search now ends at that store, so it
+	// forwards from it in the same cycle, long before the Fadd retires.
+	b := isa.NewBuilder("parked-forward")
+	b.MovI(isa.R1, 0x300)
+	b.MovI(isa.R2, 5)
+	b.MovI(isa.R8, 0x700)
+	b.MovI(isa.R11, 0x780)
+	b.Ld(isa.R9, isa.R8, 0)           // miss: holds the head
+	b.Fadd(isa.R3, isa.R1, 0, isa.R2) // blocks the load below
+	b.Ld(isa.R10, isa.R11, 0)         // miss: the store's address
+	b.St(isa.R10, 0, isa.R2)          // resolves to 0x300 on the fill
+	b.Ld(isa.R4, isa.R1, 0)
+	b.Halt()
+	const storePC, loadPC = 7, 8
+	r := newIssueRig(t, b.MustBuild(), func(f *fakeBackend) {
+		f.mem[0x780] = 0x300
+		f.missAddrs[memtypes.BlockAddr(0x700)] = true
+		f.missAddrs[memtypes.BlockAddr(0x780)] = true
+	})
+	for r.now < 30 {
+		r.tick()
+	}
+	if r.entry(loadPC).state != sDispatched {
+		t.Fatal("load issued past an unretired same-address atomic")
+	}
+	r.fill(0x780)
+	storeAt, loadAt := uint64(0), uint64(0)
+	for loadAt == 0 && r.now < 60 {
+		for _, pc := range r.tick() {
+			switch pc {
+			case storePC:
+				storeAt = r.now
+			case loadPC:
+				loadAt = r.now
+			}
+		}
+	}
+	if storeAt == 0 || loadAt != storeAt {
+		t.Fatalf("store issued at cycle %d, load at %d; want the load in the store's cycle", storeAt, loadAt)
+	}
+	if r.c.RetiredAtomics != 0 {
+		t.Fatal("the Fadd retired; the test wants the load to issue before it")
+	}
+	r.fill(0x700)
+	for !r.c.Halted() && r.now < 200 {
+		r.tick()
+	}
+	if got := r.c.ArchReg(isa.R4); got != 5 {
+		t.Fatalf("r4 = %d, want 5 (forwarded from the store)", got)
+	}
+}
