@@ -1135,6 +1135,29 @@ func (c *Core) NextEvent() uint64 {
 	return next
 }
 
+// Fingerprint appends to dst the core state its hints speak for: ROB
+// occupancy and position, fetch state, retirement count, and each in-flight
+// entry's state, bound operands and completion time. The late-hint checkers
+// compare it across cycles the hint called quiet.
+func (c *Core) Fingerprint(dst []uint64) []uint64 {
+	dispatched := 0
+	dst = append(dst, uint64(c.count), uint64(c.head), uint64(c.tail), uint64(c.fetchPC), c.stallTil, c.Retired)
+	for i, s := 0, c.head; i < c.count; i, s = i+1, (s+1)%len(c.rob) {
+		e := &c.rob[s]
+		if e.state == sDispatched {
+			dispatched++
+		}
+		var ok uint64
+		for k, b := range e.opOK {
+			if b {
+				ok |= 1 << k
+			}
+		}
+		dst = append(dst, uint64(e.state), ok, e.doneAt)
+	}
+	return append(dst, uint64(dispatched))
+}
+
 // HeadState is a read-only snapshot of the ROB head, exposed so the node
 // can fold retirement-policy knowledge (which lives in the backend) into
 // its idle-skip horizon.

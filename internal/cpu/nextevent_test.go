@@ -109,26 +109,6 @@ func (f *fuzzBackend) StartLoad(tag uint64, addr memtypes.Addr) LoadResult {
 	return f.fakeBackend.StartLoad(tag, addr)
 }
 
-// coreFingerprint is the core state the hint speaks for.
-func coreFingerprint(c *Core) []uint64 {
-	dispatched := 0
-	fp := []uint64{uint64(c.count), uint64(c.head), uint64(c.tail), uint64(c.fetchPC), c.stallTil, c.Retired}
-	for i, s := 0, c.head; i < c.count; i, s = i+1, (s+1)%len(c.rob) {
-		e := &c.rob[s]
-		if e.state == sDispatched {
-			dispatched++
-		}
-		var ok uint64
-		for k, b := range e.opOK {
-			if b {
-				ok |= 1 << k
-			}
-		}
-		fp = append(fp, uint64(e.state), ok, e.doneAt)
-	}
-	return append(fp, uint64(dispatched))
-}
-
 // checkIssueSets verifies the dispatched and ready sets against the entry
 // states: exactly the dispatched entries are in the dispatched set, and
 // every dispatched entry with no pending operand is ready, unless it is a
@@ -190,7 +170,7 @@ func checkCoreHints(t *testing.T, seed int64, miss, retry, delay, snoop uint8, f
 	hint := uint64(0)
 	for now = 1; now < 200_000 && !c.Halted(); now++ {
 		c.Tick(now)
-		if cur := coreFingerprint(c); now < hint && !slices.Equal(cur, fp) {
+		if cur := c.Fingerprint(nil); now < hint && !slices.Equal(cur, fp) {
 			t.Fatalf("cycle %d: core state changed before its hint %d\n%s", now, hint, dumpCore(c))
 		}
 		if err := checkIssueSets(c); err != nil {
@@ -219,7 +199,7 @@ func checkCoreHints(t *testing.T, seed int64, miss, retry, delay, snoop uint8, f
 			}
 			c.FlushAll(regs, c.ArchPC())
 		}
-		fp = coreFingerprint(c)
+		fp = c.Fingerprint(nil)
 		hint = c.NextEvent()
 		if hs := c.HeadState(); hs.Valid {
 			hint = min(hint, hs.ReadyAt)

@@ -766,6 +766,48 @@ func (n *Node) account() {
 	n.st.Account(cl, n.engine.YoungestEpoch())
 }
 
+// Fingerprint appends to dst the node state its hints speak for, apart from
+// the cycle accounting that SkipCycles replays: the core's (Core.Fingerprint)
+// and its head stall, the MSHRs, parked probes, cleanings, store-buffer
+// entries, speculation epochs and event counters. The late-hint checker
+// compares it across cycles the hint called quiet.
+func (n *Node) Fingerprint(dst []uint64) []uint64 {
+	dst = n.core.Fingerprint(dst)
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	dst = append(dst, uint64(n.core.HeadStall), n.CleaningWBs, n.Prefetches, n.L2HitFills, n.RemoteFills,
+		uint64(len(n.wbBuf)), uint64(len(n.fillHold)), uint64(len(n.parkedFills)), uint64(len(n.setPending)))
+	for _, m := range n.mshrOrder {
+		dst = append(dst, uint64(m.block), b(m.wantX)|b(m.upgrade)<<1|b(m.sent)<<2|b(m.fromL2)<<3|b(m.prefetch)<<4|b(m.invalidated)<<5,
+			m.readyAt, uint64(len(m.waiters)))
+	}
+	for _, p := range n.parked {
+		dst = append(dst, uint64(p.src), uint64(p.msg.Kind), uint64(p.msg.Addr), p.deadline, b(p.isCoV))
+	}
+	for _, block := range n.cleanList {
+		dst = append(dst, uint64(block), n.cleanings[block])
+	}
+	if n.fifoSB != nil {
+		// Entries change only by a push (a retirement) or a pop (the length).
+		dst = append(dst, uint64(n.fifoSB.Len()))
+	} else {
+		for _, e := range n.coalSB.Entries() {
+			dst = append(dst, uint64(e.Block), uint64(int64(e.Epoch)), b(e.Issued))
+			for w := range e.Words {
+				dst = append(dst, uint64(e.Words[w]), b(e.Valid[w]))
+			}
+		}
+	}
+	for _, ep := range n.engine.ActiveEpochs() {
+		dst = append(dst, uint64(ep))
+	}
+	return append(dst, n.engine.CommitBusyUntil())
+}
+
 // DebugString dumps miss/parking/cleaning state for diagnostics.
 func (n *Node) DebugString() string {
 	out := ""
