@@ -82,20 +82,10 @@ type Backend interface {
 	// StartLoad begins a load's memory access. tag identifies the request
 	// for a later FillLoad on a miss.
 	StartLoad(tag uint64, addr memtypes.Addr) LoadResult
-	// RetireLoad applies retirement policy for a load whose value is
-	// already bound. op distinguishes plain loads from acquiring loads
-	// (ld.acq); fromL1 reports whether the value came from the memory
-	// system (as opposed to in-window forwarding).
-	RetireLoad(op isa.Op, addr memtypes.Addr, fromL1 bool) (bool, StallReason)
-	// RetireStore attempts to make a store visible (L1 write or store
-	// buffer entry) at retirement. op distinguishes plain stores from
-	// releasing stores (st.rel).
-	RetireStore(op isa.Op, addr memtypes.Addr, val memtypes.Word) (bool, StallReason)
-	// RetireAtomic attempts to perform an atomic read-modify-write at
-	// retirement, returning the old value when it completes.
-	RetireAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.Word) (bool, memtypes.Word, StallReason)
-	// RetireFence applies retirement policy for a memory fence.
-	RetireFence() (bool, StallReason)
+	// Retire applies retirement policy to the ROB head, a ready fence, load,
+	// store or atomic: it returns whether the head retires, an atomic's old
+	// value when it does, and the stall reason when it does not.
+	Retire(hs HeadState) (ok bool, old memtypes.Word, why StallReason)
 	// OnRetireInstr is called once per retired instruction (chunk sizing,
 	// forward-progress tracking).
 	OnRetireInstr()
@@ -383,77 +373,39 @@ func (c *Core) queueExec(slot int) {
 
 func (c *Core) retire() {
 	for n := 0; n < c.cfg.RetireWidth; n++ {
-		if c.count == 0 {
-			if c.RetiredThisCycle == 0 {
-				c.HeadStall = StallOther
-			}
+		if c.count == 0 || c.headReadyAt(c.now) != c.now {
+			c.stallAt(StallOther)
 			return
 		}
 		e := &c.rob[c.head]
-		in := e.in
-		switch {
-		case in.Op == isa.Halt:
+		op := e.in.Op
+		if op == isa.Halt {
 			c.commitEntry(e)
 			c.halted = true
 			return
-		case in.Op == isa.Fence:
-			ok, why := c.backend.RetireFence()
+		}
+		if op == isa.Fence || op.IsMem() {
+			ok, old, why := c.backend.Retire(c.headView(c.now))
 			if !ok {
 				c.stallAt(why)
 				return
 			}
-			c.RetiredFences++
-			c.commitEntry(e)
-		case in.Op.IsLoad():
-			if e.state != sDone || c.now < e.doneAt {
-				c.stallAt(StallOther)
-				return
+			switch {
+			case op == isa.Fence:
+				c.RetiredFences++
+			case op.IsLoad():
+				c.RetiredLoads++
+			case op.IsStore():
+				c.RetiredStores++
+			default:
+				e.value = old
+				e.state = sDone
+				c.RetiredAtomics++
 			}
-			ok, why := c.backend.RetireLoad(in.Op, e.addr, e.fromL1)
-			if !ok {
-				c.stallAt(why)
-				return
-			}
-			c.RetiredLoads++
-			c.commitEntry(e)
-		case in.Op.IsStore():
-			if e.state != sDone {
-				c.stallAt(StallOther)
-				return
-			}
-			ok, why := c.backend.RetireStore(in.Op, e.addr, e.dataVal)
-			if !ok {
-				c.stallAt(why)
-				return
-			}
-			c.RetiredStores++
-			c.commitEntry(e)
-		case in.Op.IsAtomic():
-			c.captureOps(e)
-			if !e.addrOK || !e.opOK[1] || (in.Op == isa.Cas && !e.opOK[2]) {
-				c.stallAt(StallOther)
-				return
-			}
-			var opB memtypes.Word
-			if in.Op == isa.Cas {
-				opB = e.opVal[2]
-			}
-			ok, old, why := c.backend.RetireAtomic(in.Op, e.addr, e.opVal[1], opB)
-			if !ok {
-				c.stallAt(why)
-				return
-			}
-			e.value = old
-			e.state = sDone
-			c.RetiredAtomics++
-			c.commitEntry(e)
+		}
+		c.commitEntry(e)
+		if op.IsAtomic() {
 			c.unparkLoads(e.addr)
-		default:
-			if e.state != sDone || c.now < e.doneAt {
-				c.stallAt(StallOther)
-				return
-			}
-			c.commitEntry(e)
 		}
 	}
 }
@@ -689,42 +641,6 @@ func countRange(m []uint64, lo, hi int) int {
 	return n
 }
 
-// captureOps lazily captures operands whose producers completed after this
-// entry's dispatch (used by the atomic retirement path).
-func (c *Core) captureOps(e *robEntry) {
-	for k := 0; k < 3; k++ {
-		if !e.opOK[k] {
-			c.captureOp(e, k)
-		}
-	}
-}
-
-// captureOp tries to bind operand k. The producer may have retired (seq
-// mismatch after slot reuse, or slot freed): then the architectural file
-// holds its value — any in-flight intervening writer of the same register
-// would have been the rename source instead.
-func (c *Core) captureOp(e *robEntry, k int) bool {
-	p := e.srcRef[k]
-	if p < 0 {
-		e.opOK[k] = true
-		return true
-	}
-	pe := &c.rob[p]
-	if !pe.used || pe.seq != e.srcSeq[k] {
-		e.opVal[k] = c.archRegs[e.srcReg[k]]
-		e.opOK[k] = true
-		e.srcRef[k] = -1
-		return true
-	}
-	if pe.state == sDone && c.now >= pe.doneAt {
-		e.opVal[k] = pe.value
-		e.opOK[k] = true
-		e.srcRef[k] = -1
-		return true
-	}
-	return false
-}
-
 // issueLoad computes the address, searches older in-flight stores, and
 // falls back to the memory system. Returns true if a port was consumed.
 func (c *Core) issueLoad(slot int, e *robEntry) bool {
@@ -907,8 +823,8 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	e.wakeHead = -1
 	e.pending = 0
 	// Issue needs every source except for loads and atomics, whose address
-	// generation needs rs1 only (an atomic's data operands bind at
-	// retirement, by captureOps).
+	// generation needs rs1 only (an atomic's data operands are read at
+	// retirement, see headView).
 	addrOnly := in.Op.IsLoad() || in.Op.IsAtomic()
 	for k := 0; k < 3; k++ {
 		e.srcRef[k] = -1
@@ -1158,131 +1074,76 @@ func (c *Core) Fingerprint(dst []uint64) []uint64 {
 	return append(dst, uint64(dispatched))
 }
 
-// HeadState is a read-only snapshot of the ROB head, exposed so the node
-// can fold retirement-policy knowledge (which lives in the backend) into
-// its idle-skip horizon.
+// HeadState is a read-only view of the ROB head's retirement attempt: what
+// the core hands Backend.Retire, and what the node plans its horizon from.
 type HeadState struct {
-	Valid  bool // ROB non-empty and core running
-	Op     isa.Op
-	Addr   memtypes.Addr // meaningful when AddrOK (loads/stores/atomics)
-	AddrOK bool
-	// Ready reports that the retirement policy will be invoked for the head
-	// next cycle. ReadyAt is the earliest cycle that could happen
-	// (memtypes.NoEvent: only after an external event such as a fill).
+	Op   isa.Op
+	Addr memtypes.Addr // meaningful once Ready (loads/stores/atomics)
+	// Ready reports that the retirement policy is invoked for the head at
+	// the attempt's cycle. ReadyAt is the earliest cycle that could happen
+	// (memtypes.NoEvent: only after an external event such as a fill, or
+	// never, with no head).
 	Ready   bool
 	ReadyAt uint64
-	// OpA/OpB are a ready atomic's data operands (the compare value and, for
-	// CAS, the swap value), peeked read-only: the node needs the actual
-	// values — a CAS whose compare fails retires read-only — to classify a
-	// buffer-blocked speculative atomic as a skippable wait. OpsOK reports
-	// that both were resolvable without mutating capture state.
-	OpA, OpB memtypes.Word
-	OpsOK    bool
+	// FromL1 reports that a load's value came from the memory system (store
+	// buffer, L1 or fill), not from an in-window store.
+	FromL1 bool
+	// Val is a store's data; OpA/OpB are an atomic's data operands (the
+	// compare value and, for CAS, the swap value).
+	Val, OpA, OpB memtypes.Word
 }
 
-// HeadState returns the retirement snapshot of the ROB head.
+// HeadState returns the view of the head's retirement attempt next cycle.
 func (c *Core) HeadState() HeadState {
 	if c.halted || c.count == 0 {
-		return HeadState{}
+		return HeadState{ReadyAt: memtypes.NoEvent}
 	}
+	return c.headView(c.now + 1)
+}
+
+// headView is the view of the head's retirement attempt at cycle at:
+// retirement hands it to the backend at the current cycle, and HeadState
+// shows it for the next one. Nothing is bound. Every producer of the head
+// is older than it and so has retired: an operand not captured yet is in
+// the architectural file.
+func (c *Core) headView(at uint64) HeadState {
 	e := &c.rob[c.head]
-	hs := HeadState{Valid: true, Op: e.in.Op, Addr: e.addr, AddrOK: e.addrOK}
-	switch {
-	case e.in.Op == isa.Halt || e.in.Op == isa.Fence:
-		hs.Ready = true
-		hs.ReadyAt = c.now + 1
-	case e.in.Op.IsAtomic():
-		hs.ReadyAt = c.retireAtomicEvent(e)
-		hs.Ready = hs.ReadyAt == c.now+1
-		if hs.Ready {
-			hs.OpA, hs.OpsOK = c.peekOp(e, 1)
-			if e.in.Op == isa.Cas {
-				var okB bool
-				hs.OpB, okB = c.peekOp(e, 2)
-				hs.OpsOK = hs.OpsOK && okB
-			}
-		}
-	default:
-		switch {
-		case e.pendFill:
-			hs.ReadyAt = memtypes.NoEvent
-		case e.state == sDone || e.state == sIssued:
-			hs.ReadyAt = max(c.now+1, e.doneAt)
-			hs.Ready = hs.ReadyAt == c.now+1
-		default:
-			// Not issued yet; the issue term of NextEvent owns this event.
-			hs.ReadyAt = memtypes.NoEvent
+	hs := HeadState{Op: e.in.Op, Addr: e.addr, ReadyAt: c.headReadyAt(at), FromL1: e.fromL1, Val: e.dataVal}
+	hs.Ready = hs.ReadyAt == at
+	if hs.Ready && e.in.Op.IsAtomic() {
+		hs.OpA = c.headOp(e, 1)
+		if e.in.Op == isa.Cas {
+			hs.OpB = c.headOp(e, 2)
 		}
 	}
 	return hs
 }
 
-// peekOp resolves operand k's value without binding it (captureOp's
-// read-only mirror): the value comes from the entry's captured slot, the
-// retired producer's architectural register, or a completed producer's ROB
-// slot. ok is false while the producer is still executing.
-func (c *Core) peekOp(e *robEntry, k int) (memtypes.Word, bool) {
-	if e.opOK[k] {
-		return e.opVal[k], true
-	}
-	p := e.srcRef[k]
-	if p < 0 {
-		return e.opVal[k], true
-	}
-	pe := &c.rob[p]
-	if !pe.used || pe.seq != e.srcSeq[k] {
-		return c.archRegs[e.srcReg[k]], true
-	}
-	if pe.state == sDone && c.now >= pe.doneAt {
-		return pe.value, true
-	}
-	return 0, false
-}
-
-// operandReadyAt returns the earliest cycle operand k of e could bind
-// (c.now+1 if it is ready now), or NoEvent if binding needs an external
-// event (a fill, or an atomic producer's retirement).
-func (c *Core) operandReadyAt(e *robEntry, k int) uint64 {
-	if e.opOK[k] {
-		return c.now + 1
-	}
-	p := e.srcRef[k]
-	if p < 0 {
-		return c.now + 1
-	}
-	pe := &c.rob[p]
-	if !pe.used || pe.seq != e.srcSeq[k] {
-		return c.now + 1 // producer retired: architectural file has it
-	}
+// headReadyAt is the earliest cycle from at on at which the head's
+// retirement can be attempted (memtypes.NoEvent: only after an external
+// event or an issue). Retirement and HeadState both decide readiness here.
+func (c *Core) headReadyAt(at uint64) uint64 {
+	e := &c.rob[c.head]
 	switch {
-	case pe.state == sDone:
-		return max(c.now+1, pe.doneAt)
-	case pe.state == sIssued && !pe.pendFill && !pe.in.Op.IsAtomic():
-		// Will be promoted to sDone at doneAt, before issue runs that cycle.
-		return max(c.now+1, pe.doneAt)
+	case e.in.Op == isa.Halt || e.in.Op == isa.Fence:
+		return at
+	case e.in.Op.IsAtomic():
+		if e.addrOK {
+			return at
+		}
+		return memtypes.NoEvent // not issued yet; NextEvent's issue term covers it
+	case e.pendFill || e.state == sDispatched:
+		return memtypes.NoEvent // a fill, or the issue term of NextEvent, owns this event
 	}
-	return memtypes.NoEvent
+	return max(at, e.doneAt) // issued entries complete at doneAt (promote runs before retire)
 }
 
-// retireAtomicEvent returns the earliest cycle an atomic at the head could
-// pass its retirement readiness check (address generated, data operands
-// bound), after which the backend is probed every cycle.
-func (c *Core) retireAtomicEvent(e *robEntry) uint64 {
-	if !e.addrOK {
-		return memtypes.NoEvent // not issued yet; NextEvent's issue term covers it
+// headOp returns operand k of the head entry e (see headView).
+func (c *Core) headOp(e *robEntry, k int) memtypes.Word {
+	if e.opOK[k] {
+		return e.opVal[k]
 	}
-	t := c.operandReadyAt(e, 1)
-	if t == memtypes.NoEvent {
-		return memtypes.NoEvent
-	}
-	if e.in.Op == isa.Cas {
-		t2 := c.operandReadyAt(e, 2)
-		if t2 == memtypes.NoEvent {
-			return memtypes.NoEvent
-		}
-		t = max(t, t2)
-	}
-	return t
+	return c.archRegs[e.srcReg[k]]
 }
 
 // SkipCycles replicates the per-cycle effects of k externally-idle cycles

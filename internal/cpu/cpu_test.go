@@ -46,28 +46,24 @@ func (f *fakeBackend) StartLoad(tag uint64, addr memtypes.Addr) LoadResult {
 	return LoadResult{Status: LoadHit, Value: f.mem[addr], ReadyAt: *f.now + f.hitLatency}
 }
 
-func (f *fakeBackend) RetireLoad(op isa.Op, addr memtypes.Addr, fromL1 bool) (bool, StallReason) {
-	return true, StallNone
-}
-
-func (f *fakeBackend) RetireStore(op isa.Op, addr memtypes.Addr, val memtypes.Word) (bool, StallReason) {
-	if f.stallStores {
-		return false, f.stallReason
+func (f *fakeBackend) Retire(hs HeadState) (bool, memtypes.Word, StallReason) {
+	switch {
+	case hs.Op.IsStore():
+		if f.stallStores {
+			return false, 0, f.stallReason
+		}
+		f.mem[hs.Addr] = hs.Val
+	case hs.Op.IsAtomic():
+		old := f.mem[hs.Addr]
+		if nv, doWrite := AtomicApply(hs.Op, old, hs.OpA, hs.OpB); doWrite {
+			f.mem[hs.Addr] = nv
+		}
+		return true, old, StallNone
 	}
-	f.mem[addr] = val
-	return true, StallNone
+	return true, 0, StallNone
 }
 
-func (f *fakeBackend) RetireAtomic(op isa.Op, addr memtypes.Addr, a, b memtypes.Word) (bool, memtypes.Word, StallReason) {
-	old := f.mem[addr]
-	if nv, doWrite := AtomicApply(op, old, a, b); doWrite {
-		f.mem[addr] = nv
-	}
-	return true, old, StallNone
-}
-
-func (f *fakeBackend) RetireFence() (bool, StallReason) { return true, StallNone }
-func (f *fakeBackend) OnRetireInstr()                   { f.retired++ }
+func (f *fakeBackend) OnRetireInstr() { f.retired++ }
 
 // run executes prog on a fresh core until halt or maxCycles.
 func run(t *testing.T, prog *isa.Program, setup func(*fakeBackend), maxCycles uint64) (*Core, *fakeBackend) {
@@ -560,11 +556,7 @@ func TestLoadWaitsBehindSameAddressAtomic(t *testing.T) {
 	}
 	r.fill(0x700)
 	hint := func() uint64 {
-		h := r.c.NextEvent()
-		if hs := r.c.HeadState(); hs.Valid {
-			h = min(h, hs.ReadyAt)
-		}
-		return h
+		return min(r.c.NextEvent(), r.c.HeadState().ReadyAt)
 	}
 	retiredAt, issuedAt := uint64(0), uint64(0)
 	for (retiredAt == 0 || issuedAt == 0) && r.now < 100 {

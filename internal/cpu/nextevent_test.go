@@ -200,10 +200,7 @@ func checkCoreHints(t *testing.T, seed int64, miss, retry, delay, snoop uint8, f
 			c.FlushAll(regs, c.ArchPC())
 		}
 		fp = c.Fingerprint(nil)
-		hint = c.NextEvent()
-		if hs := c.HeadState(); hs.Valid {
-			hint = min(hint, hs.ReadyAt)
-		}
+		hint = min(c.NextEvent(), c.HeadState().ReadyAt)
 		if hint <= now {
 			t.Fatalf("cycle %d: hint %d is not in the future\n%s", now, hint, dumpCore(c))
 		}

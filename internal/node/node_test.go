@@ -52,6 +52,13 @@ func newRig(t *testing.T, model consistency.Model, eng ifcore.Config, progs []*i
 	return r
 }
 
+// retireStore drives one retirement attempt of a plain store through the
+// backend entry point, as the core does for a ready head store.
+func retireStore(n *Node, addr memtypes.Addr, val memtypes.Word) (bool, cpu.StallReason) {
+	ok, _, why := n.Retire(cpu.HeadState{Op: isa.St, Addr: addr, Ready: true, Val: val})
+	return ok, why
+}
+
 func (r *rig) step(n int) {
 	for i := 0; i < n; i++ {
 		r.now++
@@ -106,7 +113,7 @@ func TestCleaningWritebackPreservesPreSpecValue(t *testing.T) {
 	n0 := r.nodes[0]
 	// Establish a non-speculative dirty line: a store that misses, fills,
 	// and drains.
-	if ok, _ := n0.RetireStore(isa.St, addr, 7); !ok {
+	if ok, _ := retireStore(n0, addr, 7); !ok {
 		t.Fatal("setup store rejected")
 	}
 	for i := 0; i < 500 && n0.SBOccupancy() > 0; i++ {
@@ -125,10 +132,10 @@ func TestCleaningWritebackPreservesPreSpecValue(t *testing.T) {
 	eng.Begin()
 	epoch := eng.YoungestEpoch()
 	const remote = memtypes.Addr(0x9040)
-	if ok, _ := n0.RetireStore(isa.St, addr, 9); !ok {
+	if ok, _ := retireStore(n0, addr, 9); !ok {
 		t.Fatal("speculative store rejected")
 	}
-	if ok, _ := n0.RetireStore(isa.St, remote, 3); !ok {
+	if ok, _ := retireStore(n0, remote, 3); !ok {
 		t.Fatal("remote speculative store rejected")
 	}
 	// The store must wait in the buffer while the cleaning writeback runs.
@@ -172,7 +179,7 @@ func TestCommitMakesSpeculativeStoreVisible(t *testing.T) {
 	r := newRig(t, consistency.RMO, ifcore.DefaultSelective(consistency.RMO),
 		[]*isa.Program{idle(), halt()})
 	n0 := r.nodes[0]
-	if ok, _ := n0.RetireStore(isa.St, addr, 1); !ok {
+	if ok, _ := retireStore(n0, addr, 1); !ok {
 		t.Fatal("setup store rejected")
 	}
 	for i := 0; i < 500 && n0.SBOccupancy() > 0; i++ {
@@ -180,7 +187,7 @@ func TestCommitMakesSpeculativeStoreVisible(t *testing.T) {
 	}
 	eng := n0.Engine()
 	eng.Begin()
-	if ok, _ := n0.RetireStore(isa.St, addr, 2); !ok {
+	if ok, _ := retireStore(n0, addr, 2); !ok {
 		t.Fatal("spec store failed")
 	}
 	// The cleaning writeback runs, the store drains, and the engine's
@@ -226,7 +233,7 @@ func TestEvictionForcesCommitOrAbort(t *testing.T) {
 	n0.L1().MarkSpecRead(n0.L1().Peek(a0), y)
 	n0.L1().MarkSpecRead(n0.L1().Peek(a1), y)
 	feed := memtypes.Addr(0x20040)
-	n0.RetireStore(isa.St, feed, 1)
+	retireStore(n0, feed, 1)
 
 	// A load to a third block of the same set forces the resolution.
 	n0.StartLoad(3, a2)
@@ -244,7 +251,7 @@ func TestEvictionForcesCommitOrAbort(t *testing.T) {
 			}
 			if n0.SBOccupancy() == 0 {
 				feed += memtypes.Addr(memtypes.BlockBytes)
-				n0.RetireStore(isa.St, feed, 1)
+				retireStore(n0, feed, 1)
 			}
 		}
 		r.step(1)
@@ -276,14 +283,14 @@ func TestProbeAbortsSpeculativeReader(t *testing.T) {
 	// keeps the buffer non-empty) and mark the line speculatively read.
 	eng := n0.Engine()
 	eng.Begin()
-	if ok, _ := n0.RetireStore(isa.St, memtypes.Addr(0x9040), 3); !ok {
+	if ok, _ := retireStore(n0, memtypes.Addr(0x9040), 3); !ok {
 		t.Fatal("blocker store rejected")
 	}
 	n0.L1().MarkSpecRead(line, eng.YoungestEpoch())
 
 	// Node 1 writes the speculatively-read block: its GetX must abort
 	// node 0's speculation.
-	if ok, _ := n1.RetireStore(isa.St, addr, 9); !ok {
+	if ok, _ := retireStore(n1, addr, 9); !ok {
 		t.Fatal("writer store rejected")
 	}
 	abortsBefore := n0.Stats().Aborts
@@ -328,15 +335,15 @@ func TestCoVDeferralEndsInCommit(t *testing.T) {
 	}
 	e := n0.Engine()
 	e.Begin()
-	if ok, _ := n0.RetireStore(isa.St, addr, 5); !ok {
+	if ok, _ := retireStore(n0, addr, 5); !ok {
 		t.Fatal("spec store rejected")
 	}
 	// A remote blocker store delays the drain (and hence the commit) long
 	// enough for node 1's probe to arrive and be deferred.
-	if ok, _ := n0.RetireStore(isa.St, memtypes.Addr(0x9040), 3); !ok {
+	if ok, _ := retireStore(n0, memtypes.Addr(0x9040), 3); !ok {
 		t.Fatal("blocker rejected")
 	}
-	if ok, _ := n1.RetireStore(isa.St, addr, 9); !ok {
+	if ok, _ := retireStore(n1, addr, 9); !ok {
 		t.Fatal("writer store rejected")
 	}
 	for i := 0; i < 5000 && n0.Stats().CoVSaves == 0 && n0.Stats().Aborts == 0; i++ {

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -67,7 +71,8 @@ func paperConfig(w, h int, model consistency.Model, eng ifcore.Config) Config {
 
 // hintRun is one checker run. workload names the programs: the sim
 // fuzzer's random shape (""), a hand-built program of this package
-// ("contended", "atomic-pressure", "corner", "cleaning-abort") on a 2x2
+// ("contended", also without load-queue snooping, "atomic-pressure",
+// "corner", "cleaning-abort") on a 2x2
 // machine, or a paper workload at hintScale on the Figure 6 machine.
 type hintRun struct {
 	workload string
@@ -83,8 +88,10 @@ func (r hintRun) String() string {
 	return fmt.Sprintf("%s/%s/seed%d", wl, hintVariants[r.variant].name, r.seed)
 }
 
-// hintSlack is what a checker run measured about its hints.
+// hintSlack is what a checker run measured: its length, the slack of its
+// hints, and the waits of the retirement plan.
 type hintSlack struct {
+	cycles         uint64
 	hinted, wasted uint64 // node ticks a hint asked for; those that changed nothing
 	quiet          uint64 // node-cycles a hint called quiet
 	// waits counts, per node-cycle, the wait the head's next retirement
@@ -117,7 +124,7 @@ func checkNodeHints(t *testing.T, r hintRun) hintSlack {
 		switch r.workload {
 		case "":
 			progs[i], regs[i] = randomProgram(rng, i, memtypes.Addr(0x100000+i*0x10000))
-		case "contended":
+		case "contended", "contended-nosnoop":
 			progs[i] = programFor(v.model, i, len(progs))
 		case "atomic-pressure":
 			progs[i] = specAtomicPressureProgram(i, len(progs))
@@ -128,6 +135,9 @@ func checkNodeHints(t *testing.T, r hintRun) hintSlack {
 			progs[i] = cleaningAbortProgram(i, int(r.seed%80), int(r.seed/80%80))
 		}
 	}
+	// Without load-queue snooping, a load whose line leaves the L1 before
+	// it retires is caught at retirement (the plan's replay).
+	cfg.Node.SnoopLQ = r.workload != "contended-nosnoop"
 	if slices.Contains(workload.Names(), r.workload) {
 		cfg = paperConfig(4, 4, v.model, v.eng)
 		p := workload.Params{Cores: cfg.Net.Width * cfg.Net.Height, Model: v.model, Seed: r.seed, Scale: hintScale}
@@ -189,7 +199,7 @@ func checkNodeHints(t *testing.T, r hintRun) hintSlack {
 			p.why = n.Core().HeadStall
 			p.epoch = n.Engine().YoungestEpoch()
 			p.hint = n.NextEvent()
-			if w := ""; w != "" {
+			if w := n.HeadWait(); w != "" {
 				slack.waits[w]++
 			}
 			if p.hint <= now {
@@ -198,6 +208,7 @@ func checkNodeHints(t *testing.T, r hintRun) hintSlack {
 			finished = finished && n.Finished()
 		}
 		if finished {
+			slack.cycles = now
 			return slack
 		}
 	}
@@ -217,7 +228,7 @@ func fpDiff(was, is []uint64, wantSt, st *stats.NodeStats) string {
 }
 
 // hintWorkloads indexes the fuzz target's workload argument.
-var hintWorkloads = append([]string{"", "contended", "atomic-pressure", "corner", "cleaning-abort"},
+var hintWorkloads = append([]string{"", "contended", "contended-nosnoop", "atomic-pressure", "corner", "cleaning-abort"},
 	workload.Names()...)
 
 // hintSeeds are the checker's tier-1 runs: random programs and the corner
@@ -233,7 +244,7 @@ func hintSeeds() []hintRun {
 	cells := []struct{ workload, variant string }{
 		{"contended", "sc"}, {"contended", "tso"}, {"contended", "rmo"}, {"contended", "rc"},
 		{"contended", "invisi-sc"}, {"contended", "invisi-rc"}, {"contended", "louvre-rc"},
-		{"contended", "aso"}, {"atomic-pressure", "invisi-sc"},
+		{"contended", "aso"}, {"contended-nosnoop", "invisi-sc"}, {"atomic-pressure", "invisi-sc"},
 		{"apache", "sc"}, {"zeus", "tso"}, {"apache", "rmo"}, {"apache", "rc"},
 		{"apache", "invisi-sc"}, {"oltp-oracle", "invisi-tso"}, {"zeus", "invisi-rmo"},
 		{"oltp-db2", "invisi-rc"}, {"apache", "louvre-rc"}, {"zeus", "continuous"},
@@ -278,6 +289,74 @@ var planWaits = []string{
 	"release-drain", "atomic-drain", "atomic-own", "atomic-cleaning",
 	"atomic-sb", "spec-ssb-full", "spec-sb-full", "spec-atomic-fill",
 	"spec-atomic-store",
+}
+
+// hintOutcome is one checker seed's pinned outcome: its length and how
+// often each wait of the retirement plan occurred (per node-cycle).
+type hintOutcome struct {
+	Run    string            `json:"run"`
+	Cycles uint64            `json:"cycles"`
+	Waits  map[string]uint64 `json:"waits"`
+}
+
+// TestRetirePlanWaitCoverage runs the checker's seeds and fails unless every
+// wait of the retirement plan occurs in them, so that each is checked to
+// change nothing. Each seed's outcome is pinned in testdata/hint_outcomes.json
+// (regenerated by -update-timing), so an act of the plan that turns into a
+// wait fails here even where no end result is pinned.
+func TestRetirePlanWaitCoverage(t *testing.T) {
+	seeds := hintSeeds()
+	got := make([]hintOutcome, len(seeds))
+	t.Run("seeds", func(t *testing.T) {
+		for i, r := range seeds {
+			t.Run(r.String(), func(t *testing.T) {
+				t.Parallel()
+				sl := checkNodeHints(t, r)
+				got[i] = hintOutcome{Run: r.String(), Cycles: sl.cycles, Waits: sl.waits}
+			})
+		}
+	})
+	total := map[string]uint64{}
+	for _, o := range got {
+		for w, k := range o.Waits {
+			total[w] += k
+		}
+	}
+	for _, w := range planWaits {
+		if total[w] == 0 {
+			t.Errorf("no seed reaches the %s wait", w)
+		}
+	}
+	t.Logf("node-cycles per wait: %v", total)
+	path := filepath.Join("testdata", "hint_outcomes.json")
+	if *updateTiming {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read outcome golden (regenerate with -update-timing): %v", err)
+	}
+	var want []hintOutcome
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for i := range min(len(got), len(want)) {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("outcome diverged from golden:\n got: %+v\nwant: %+v", got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%d outcomes, golden has %d (regenerate with -update-timing)", len(got), len(want))
+		}
+	}
 }
 
 // cornerProgram steers a thread into two rare retirement waits. Three

@@ -72,12 +72,12 @@ func specAtomicPressureProgram(tid, threads int) *isa.Program {
 }
 
 // TestIdleSkipBitExactSpecAtomicPressure pins the speculative-atomic stall
-// classification (cpu.HeadState operand plumbing + specAtomicStoreOutcome):
-// lock-step, the default one-shard loop, and two clusters must produce
-// deeply-equal Results on a workload dominated by buffer-blocked
-// speculative atomics. A misclassified wait (skipping an
-// attempt that would have marked a bit, started a cleaning, counted a stall,
-// or retired a failed CAS) diverges here.
+// classification (the retirement plan's speculative atomic, fed by the
+// operands in cpu.HeadState): lock-step, the default one-shard loop, and
+// two clusters must produce deeply-equal Results on a workload dominated by
+// buffer-blocked speculative atomics. A misclassified wait (skipping an
+// attempt that would have marked a bit, started a cleaning, or retired a
+// failed CAS) diverges here.
 func TestIdleSkipBitExactSpecAtomicPressure(t *testing.T) {
 	run := func(disable bool, clusters int) Result {
 		cfg := testConfig(2, 2, consistency.SC, ifcore.DefaultSelective(consistency.SC))

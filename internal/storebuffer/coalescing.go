@@ -37,8 +37,6 @@ type Coalescing struct {
 	// warm-up every Store that needs a fresh entry pops one here and the
 	// speculation-path store stream allocates nothing.
 	free []*CoalescingEntry
-
-	Merges, Allocs, FullStalls uint64
 }
 
 // NewCoalescing creates a coalescing store buffer with the given capacity.
@@ -75,7 +73,13 @@ func (c *Coalescing) mergeTarget(block memtypes.Addr, epoch int) *CoalescingEntr
 	return nil
 }
 
-// Store buffers a retired store. It returns false (and counts a stall) if a
+// CanStore reports whether Store would accept a store of the epoch class to
+// the block: it merges into a target entry, or a fresh entry is free.
+func (c *Coalescing) CanStore(block memtypes.Addr, epoch int) bool {
+	return c.mergeTarget(block, epoch) != nil || !c.Full()
+}
+
+// Store buffers a retired store. It returns false, changing nothing, if a
 // new entry is needed but the buffer is full.
 func (c *Coalescing) Store(addr memtypes.Addr, val memtypes.Word, epoch int) bool {
 	block := memtypes.BlockAddr(addr)
@@ -83,11 +87,9 @@ func (c *Coalescing) Store(addr memtypes.Addr, val memtypes.Word, epoch int) boo
 	if e := c.mergeTarget(block, epoch); e != nil {
 		e.Words[wi] = val
 		e.Valid[wi] = true
-		c.Merges++
 		return true
 	}
 	if c.Full() {
-		c.FullStalls++
 		return false
 	}
 	c.nextSeq++
@@ -102,7 +104,6 @@ func (c *Coalescing) Store(addr memtypes.Addr, val memtypes.Word, epoch int) boo
 	e.Words[wi] = val
 	e.Valid[wi] = true
 	c.entries = append(c.entries, e)
-	c.Allocs++
 	return true
 }
 

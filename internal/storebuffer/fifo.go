@@ -31,8 +31,6 @@ type FIFO struct {
 	// prefetchBuf is the reusable result slice for PrefetchBlocks: the drain
 	// engine calls it every cycle, so it must not allocate.
 	prefetchBuf []memtypes.Addr
-
-	Pushes, FullStalls uint64
 }
 
 // NewFIFO creates a FIFO store buffer with the given entry capacity.
@@ -52,16 +50,14 @@ func (f *FIFO) Len() int { return len(f.entries) }
 // Capacity returns the configured capacity.
 func (f *FIFO) Capacity() int { return f.capacity }
 
-// Push appends a retired store. It returns false (and counts a stall) if
-// the buffer is full.
+// Push appends a retired store. It returns false, changing nothing, if the
+// buffer is full.
 func (f *FIFO) Push(addr memtypes.Addr, val memtypes.Word) bool {
 	if f.Full() {
-		f.FullStalls++
 		return false
 	}
 	f.nextSeq++
 	f.entries = append(f.entries, FIFOEntry{Addr: memtypes.WordAlign(addr), Val: val, seq: f.nextSeq})
-	f.Pushes++
 	return true
 }
 

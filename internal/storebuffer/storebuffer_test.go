@@ -19,8 +19,12 @@ func TestFIFOOrderAndCapacity(t *testing.T) {
 	if !f.Full() || f.Push(0x100, 1) {
 		t.Fatal("push into full FIFO succeeded")
 	}
-	if f.FullStalls != 1 {
-		t.Fatalf("FullStalls = %d", f.FullStalls)
+	// A refused push changes nothing.
+	if f.Len() != 4 {
+		t.Fatalf("len = %d after a refused push", f.Len())
+	}
+	if _, ok := f.Forward(0x100); ok {
+		t.Fatal("refused push is visible to forwarding")
 	}
 	for i := 0; i < 4; i++ {
 		h := f.Head()
@@ -123,11 +127,25 @@ func TestCoalescingCapacity(t *testing.T) {
 	c := NewCoalescing(2)
 	c.Store(0x000, 1, NonSpecEpoch)
 	c.Store(0x040, 2, NonSpecEpoch)
-	if c.Store(0x080, 3, NonSpecEpoch) {
+	if c.CanStore(0x080, NonSpecEpoch) || c.Store(0x080, 3, NonSpecEpoch) {
 		t.Fatal("store beyond capacity succeeded")
 	}
+	// A refused store changes nothing.
+	if c.Len() != 2 || c.HasBlock(0x080) {
+		t.Fatalf("refused store changed the buffer: len %d", c.Len())
+	}
+	if _, ok := c.Forward(0x080); ok {
+		t.Fatal("refused store is visible to forwarding")
+	}
+	// A speculative store to a buffered block needs its own entry too.
+	if c.CanStore(0x000, 0) || c.Store(0x000, 5, 0) {
+		t.Fatal("cross-epoch store into a full buffer succeeded")
+	}
+	if v, _ := c.Forward(0x000); v != 1 {
+		t.Fatalf("refused store changed a buffered word: %d", v)
+	}
 	// Merging into an existing block still works when full.
-	if !c.Store(0x008, 4, NonSpecEpoch) {
+	if !c.CanStore(0x000, NonSpecEpoch) || !c.Store(0x008, 4, NonSpecEpoch) {
 		t.Fatal("merge into existing entry failed when full")
 	}
 }
