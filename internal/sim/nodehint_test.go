@@ -71,9 +71,9 @@ func paperConfig(w, h int, model consistency.Model, eng ifcore.Config) Config {
 
 // hintRun is one checker run. workload names the programs: the sim
 // fuzzer's random shape (""), a hand-built program of this package
-// ("contended", also without load-queue snooping, "atomic-pressure",
-// "corner", "cleaning-abort") on a 2x2
-// machine, or a paper workload at hintScale on the Figure 6 machine.
+// ("contended", "contended-nosnoop", "atomic-pressure" and "corner" on the
+// 2x2 test machine, "cleaning-abort" on a 2x2 machine with the Figure 6
+// latencies), or a paper workload at hintScale on the Figure 6 machine.
 type hintRun struct {
 	workload string
 	variant  int
